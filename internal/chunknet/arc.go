@@ -90,9 +90,9 @@ type arcState struct {
 	lastRate units.BitRate // EWMA-smoothed measured throughput
 	antRate  units.BitRate // EWMA-smoothed anticipated rate (eq. 1)
 
-	bpActive   bool                 // this arc has signalled back-pressure
-	bpNotified map[topo.NodeID]bool // neighbors notified
-	limited    bool                 // capRate reduced by an upstream notification
+	bpActive   bool          // this arc has signalled back-pressure
+	bpNotified []topo.NodeID // neighbours notified, in notification order
+	limited    bool          // capRate reduced by an upstream notification
 
 	// Failure state (see churn.go). outage is the arc's own declared churn
 	// process and calendar its scheduled maintenance; the SRLG processes
@@ -369,12 +369,12 @@ func (a *arcState) maybeReleaseBackpressure() {
 	a.bpActive = false
 	a.sim.mBpOff.Inc()
 	a.sim.emitTrace("backpressure_off", 0, a.name, 0, a.occupancyFraction())
-	for n := range a.bpNotified {
+	for _, n := range a.bpNotified {
 		p := a.sim.newPacket()
 		p.kind = pktBpOff
 		p.size = a.sim.cfg.RequestSize
 		p.bpArc = a.arc
 		a.sim.sendControl(a.from, n, p)
 	}
-	a.bpNotified = nil
+	a.bpNotified = a.bpNotified[:0]
 }

@@ -1,6 +1,7 @@
 package chunknet
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -403,15 +404,12 @@ func (s *Sim) checkBackpressure(a *arcState, p *packet) {
 	if a.occupancyFraction() < s.cfg.BackpressureHigh {
 		return
 	}
-	if a.bpNotified == nil {
-		a.bpNotified = make(map[topo.NodeID]bool)
-	}
 	up := p.prevHop
-	if up == a.from || a.bpNotified[up] {
+	if up == a.from || slices.Contains(a.bpNotified, up) {
 		return
 	}
 	a.bpActive = true
-	a.bpNotified[up] = true
+	a.bpNotified = append(a.bpNotified, up)
 	s.rep.BackpressureOn++
 	s.mBpOn.Inc()
 	s.emitTrace("backpressure_on", p.flow, a.name, p.seq, a.occupancyFraction())

@@ -1,6 +1,8 @@
 package flowsim
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/topo"
@@ -86,96 +88,53 @@ func (l congestedList) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
 // capacity back into the filling, and iterate. Overflow that no detour
 // can absorb is back-pressured: the affected flows are rate-capped in a
 // final feasibility pass.
+//
+// A round's only input from earlier rounds is grantsFor: the fill, the
+// primary loads and the (stateless) planner are fixed functions of it.
+// So once a non-final round hands the next one the very grants it was
+// given, every later non-final round would repeat it bit for bit, and
+// the final round's fill would reproduce the fill at hand. The fixpoint
+// then skips straight to the final round, reusing that fill; only the
+// final round's own planning (real overflow, no optimistic requests)
+// still runs. PoolingRounds stays the cap on rounds.
 func (r *runner) allocateINRP() []float64 {
-	n := r.nArcs
-	zero(r.grantsFor)
-	zero(r.detourLoad)
-	zero(r.extraWeighted)
-	r.grantRecs = r.grantRecs[:0]
-
-	capEff := r.capEff
-	primaryLoad := r.primaryLoad
-	var classRate []float64
-
-	for round := 0; round < r.cfg.PoolingRounds; round++ {
+	r.resetGrants()
+	classRate := r.poolFill()
+	r.buildScanArcs()
+	for round := 0; ; round++ {
 		final := round == r.cfg.PoolingRounds-1
-
-		// Effective capacity for primary filling: the arc's own rate plus
-		// whatever overflow it may ship over detours. Donor arcs keep their
-		// full rate for primary traffic — pooling uses spare capacity only
-		// (§3.3: forward toward the detour "exactly as much traffic as this
-		// detour path can accommodate").
-		for a := 0; a < n; a++ {
-			capEff[a] = r.capBase[a] + r.grantsFor[a]
+		hadGrants := len(r.grantRecs) > 0
+		if hadGrants && !final {
+			copy(r.prevGrants, r.grantsFor)
 		}
-		classRate = r.classFill(capEff)
-
-		// Per-arc primary load. Accumulated flow-by-flow in admission
-		// order — not class×weight products — so the float summation
-		// order matches the per-flow reference bit for bit.
-		zero(primaryLoad)
-		for _, s := range r.activeOrder {
-			c := r.slotClass[s]
-			cr := classRate[c]
-			for _, a := range r.classes[c].arcs {
-				primaryLoad[a] += cr
-			}
+		r.planRound(final)
+		if final {
+			break
 		}
-
-		// Re-plan every saturated arc's detours from scratch against the
-		// new loads. Actually-overloaded arcs are served first; merely
-		// saturated arcs get optimistic grants (in non-final rounds) so
-		// their frozen flows can grow into pooled capacity next round. The
-		// final round plans only real overflow, keeping the metrics honest.
-		cands := r.cands[:0]
-		for a := 0; a < n; a++ {
-			over := primaryLoad[a] - r.capBase[a]
-			saturated := r.capBase[a]-primaryLoad[a] <= saturationEps(r.capBase[a])
-			if over > saturationEps(r.capBase[a]) || (!final && saturated) {
-				cands = append(cands, congested{arc: a, over: over})
-			}
+		if r.sameGrants(hadGrants) {
+			// Converged: the final round's fill is the one at hand.
+			round = r.cfg.PoolingRounds - 2
+			continue
 		}
-		r.cands = cands
-		sort.Sort(&r.cands)
-
-		zero(r.grantsFor)
-		zero(r.detourLoad)
-		zero(r.extraWeighted)
-		r.grantRecs = r.grantRecs[:0]
-		for _, c := range r.cands {
-			req := primaryLoad[c.arc] + r.detourLoad[c.arc] - r.capBase[c.arc]
-			if !final {
-				// Optimistic: take whatever the detours can spare; the
-				// planner caps the request by donor residuals.
-				req = optimisticOverflow
-			}
-			if req <= 0 {
-				continue
-			}
-			a := c.arc
-			grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), r.residualFn)
-			for _, gr := range grants {
-				rate := float64(gr.Rate)
-				r.grantsFor[a] += rate
-				r.extraWeighted[a] += rate * float64(gr.Sub.Extra)
-				for _, b := range gr.Arcs {
-					r.detourLoad[arcIndex(b)] += rate
-				}
-				r.grantRecs = append(r.grantRecs, grantRec{
-					src: a, rate: rate, extra: float64(gr.Sub.Extra), arcs: gr.Arcs,
-				})
-			}
-		}
+		classRate = r.poolFill()
 	}
 
 	// Final feasibility (back-pressure) pass: any arc whose direct traffic
 	// plus landed detour traffic still exceeds capacity caps the flows
 	// crossing it. Grants are consistent with the final loads by
 	// construction, so violations only stem from unplaced overflow.
-	r.enforceFeasibility(classRate, primaryLoad)
+	r.enforceFeasibility(classRate, r.primaryLoad)
 
 	// Stretch expectation and aggregate detour rate from the final plan.
+	// Without grants both reduce exactly to the primary values.
 	r.detourRate = 0
+	if len(r.grantRecs) == 0 {
+		for _, c := range r.liveClasses {
+			r.classHopsExp[c] = r.classes[c].hops
+		}
+		return classRate
+	}
+	primaryLoad := r.primaryLoad
 	for a := 0; a < r.nArcs; a++ {
 		r.detourRate += r.grantsFor[a]
 	}
@@ -192,10 +151,134 @@ func (r *runner) allocateINRP() []float64 {
 			}
 			extra += phi * (r.extraWeighted[a] / r.grantsFor[a])
 		}
-		r.classExtra[c] = extra
 		r.classHopsExp[c] = cl.hops + extra
 	}
 	return classRate
+}
+
+// resetGrants clears the detour plan. Every grant adds a record, so an
+// empty record list means the per-arc grant arrays are already zero.
+func (r *runner) resetGrants() {
+	if len(r.grantRecs) == 0 {
+		return
+	}
+	zero(r.grantsFor)
+	zero(r.detourLoad)
+	zero(r.extraWeighted)
+	r.grantRecs = r.grantRecs[:0]
+}
+
+// poolFill runs one pooling round's max-min fill and per-arc primary
+// load. The effective capacity for primary filling is the arc's own rate
+// plus whatever overflow it may ship over detours; donor arcs keep their
+// full rate for primary traffic — pooling uses spare capacity only (§3.3:
+// forward toward the detour "exactly as much traffic as this detour path
+// can accommodate"). With no grant capBase+0 is capBase exactly, so the
+// fill reads capBase directly.
+func (r *runner) poolFill() []float64 {
+	r.mPoolRounds.Inc()
+	capacity := r.capBase
+	if len(r.grantRecs) > 0 {
+		for a, c := range r.capBase {
+			r.capEff[a] = c + r.grantsFor[a]
+		}
+		capacity = r.capEff
+	}
+	classRate := r.classFill(capacity)
+
+	// Per-arc primary load. Accumulated flow-by-flow in admission order —
+	// not class×weight products — so the float summation order matches
+	// the per-flow reference bit for bit.
+	primaryLoad := r.primaryLoad
+	zero(primaryLoad)
+	for _, s := range r.activeOrder {
+		c := r.slotClass[s]
+		cr := classRate[c]
+		for _, a := range r.classes[c].arcs {
+			primaryLoad[a] += cr
+		}
+	}
+	return classRate
+}
+
+// buildScanArcs sets the arcs a round's candidate scan and the no-grant
+// feasibility scan must visit: the arcs carrying live classes (recorded
+// by classFill) and, ascending and without duplicates, the static list
+// of arcs that count as saturated even when idle. Every other arc has
+// zero primary load and positive slack, so it can be neither a candidate
+// nor overloaded while no detour traffic lands on it. The loaded set is
+// fixed for one allocation, so this runs once per allocateINRP call.
+func (r *runner) buildScanArcs() {
+	scan := append(r.scanArcs[:0], r.loadedArcs...)
+	if len(r.lowCapArcs) > 0 {
+		scan = append(scan, r.lowCapArcs...)
+		slices.Sort(scan)
+		scan = slices.Compact(scan)
+	}
+	r.scanArcs = scan
+}
+
+// planRound re-plans every saturated arc's detours from scratch against
+// the round's loads. Actually-overloaded arcs are served first; merely
+// saturated arcs get optimistic grants (in non-final rounds) so their
+// frozen flows can grow into pooled capacity next round. The final round
+// plans only real overflow, keeping the metrics honest. Candidates come
+// from scanArcs in any order: congestedList's order is total.
+func (r *runner) planRound(final bool) {
+	primaryLoad := r.primaryLoad
+	cands := r.cands[:0]
+	for _, a := range r.scanArcs {
+		over := primaryLoad[a] - r.capBase[a]
+		saturated := r.capBase[a]-primaryLoad[a] <= r.epsBase[a]
+		if over > r.epsBase[a] || (!final && saturated) {
+			cands = append(cands, congested{arc: int(a), over: over})
+		}
+	}
+	r.cands = cands
+	sort.Sort(&r.cands)
+
+	r.resetGrants()
+	for _, c := range r.cands {
+		req := primaryLoad[c.arc] + r.detourLoad[c.arc] - r.capBase[c.arc]
+		if !final {
+			// Optimistic: take whatever the detours can spare; the
+			// planner caps the request by donor residuals.
+			req = optimisticOverflow
+		}
+		if req <= 0 {
+			continue
+		}
+		a := c.arc
+		grants, _ := r.planner.Plan(r.arcBack[a], bitRate(req), r.residualFn)
+		for _, gr := range grants {
+			rate := float64(gr.Rate)
+			r.grantsFor[a] += rate
+			r.extraWeighted[a] += rate * float64(gr.Sub.Extra)
+			for _, b := range gr.Arcs {
+				r.detourLoad[arcIndex(b)] += rate
+			}
+			r.grantRecs = append(r.grantRecs, grantRec{
+				src: a, rate: rate, extra: float64(gr.Sub.Extra), arcs: gr.Arcs,
+			})
+		}
+	}
+}
+
+// sameGrants reports whether the round just planned handed out exactly
+// the grants it started from (hadGrants: its input had records, saved in
+// prevGrants), compared bit for bit. It answers false whenever only one
+// side has records, even if every rate is zero; that costs a round at
+// most.
+func (r *runner) sameGrants(hadGrants bool) bool {
+	if !hadGrants || len(r.grantRecs) == 0 {
+		return !hadGrants && len(r.grantRecs) == 0
+	}
+	for a, g := range r.grantsFor {
+		if math.Float64bits(g) != math.Float64bits(r.prevGrants[a]) {
+			return false
+		}
+	}
+	return true
 }
 
 // enforceFeasibility rate-caps classes on arcs whose overflow could not
@@ -203,13 +286,22 @@ func (r *runner) allocateINRP() []float64 {
 // Decisions (worst arc, cut factor, per-class cuts) iterate classes; only
 // the primary-load bookkeeping walks flows, in active order, to keep the
 // float summation sequence identical to the per-flow reference.
+//
+// The worst-arc scan visits arcs in ascending order, so the first of
+// equal excesses wins. With grants it walks every arc; without, only
+// scanArcs can be overloaded (cuts only lower loads on class arcs).
 func (r *runner) enforceFeasibility(classRate, primaryLoad []float64) {
+	scan := r.allArcs
+	if len(r.grantRecs) == 0 {
+		scan = r.scanArcs
+	}
 	for pass := 0; pass < r.nArcs; pass++ {
 		worst, worstExcess := -1, 0.0
-		for a := 0; a < r.nArcs; a++ {
+		for _, a32 := range scan {
+			a := int(a32)
 			direct := primaryLoad[a] - r.grantsFor[a]
 			excess := direct + r.detourLoad[a] - r.capBase[a]
-			if excess > saturationEps(r.capBase[a])+1e-9 && excess > worstExcess {
+			if excess > r.epsBase[a]+1e-9 && excess > worstExcess {
 				worst, worstExcess = a, excess
 			}
 		}

@@ -82,7 +82,6 @@ func (r *runner) growClassScratch() {
 		r.classRate = append(r.classRate, 0)
 		r.classFrozen = append(r.classFrozen, false)
 		r.classCut = append(r.classCut, 0)
-		r.classExtra = append(r.classExtra, 0)
 		r.classHopsExp = append(r.classHopsExp, 0)
 		r.classGen = append(r.classGen, 0)
 		r.prevClassRate = append(r.prevClassRate, 0)
@@ -101,7 +100,7 @@ func (r *runner) growClassScratch() {
 // the retained per-flow reference in maxmin.go — operation for
 // operation: per-arc weights are integer sums (exact in float64), loads
 // advance by the identical delta×weight products, and the freeze
-// thresholds are the same capEps/saturationEps comparisons, so the
+// thresholds are the same saturationEps comparisons, so the
 // resulting rates are bit-identical to filling the member flows
 // individually (property-tested in equivalence_test.go).
 //
@@ -152,6 +151,10 @@ func (r *runner) classFill(capacity []float64) []float64 {
 			active = append(active, int32(a))
 			satSlack[a] = saturationEps(capacity[a])
 		}
+	}
+	if r.cfg.Policy == INRP {
+		// The pooling rounds scan only loaded arcs (allocateINRP).
+		r.loadedArcs = append(r.loadedArcs[:0], active...)
 	}
 
 	level := 0.0
@@ -217,7 +220,7 @@ func (r *runner) classFill(capacity []float64) []float64 {
 		// Freeze classes whose demand cap is met — with a uniform cap the
 		// threshold check happens once, the freeze sweep only on the (at
 		// most one) event where the cap binds.
-		if capped && capLimit-level <= capEps(capLimit) {
+		if capped && capLimit-level <= saturationEps(capLimit) {
 			for _, c := range r.liveClasses {
 				if !frozen[c] {
 					progressed = freeze(c, capLimit) || progressed

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -212,6 +213,32 @@ func newTestRunner(t *testing.T, g *topo.Graph, pol Policy, cap units.BitRate) *
 	return r
 }
 
+// exitPaths counts how the INRP pooling fixpoint ended, per allocation,
+// read off the flowsim_pool_rounds counter: fills is the number of
+// fills one allocateINRP call ran with rounds the configured cap.
+type exitPaths struct {
+	single    int // PoolingRounds = 1: the final round is the only one
+	noCands   int // round 0 granted nothing, so it converged at once
+	converged int // converged after k ≥ 1 rounds on non-zero grants
+	exhausted int // never converged: every round filled
+}
+
+func (p *exitPaths) record(t *testing.T, trial int, rounds int, fills int64) {
+	t.Helper()
+	switch {
+	case fills < 1 || fills > int64(rounds):
+		t.Fatalf("trial %d: %d fills with PoolingRounds %d", trial, fills, rounds)
+	case rounds == 1:
+		p.single++
+	case fills == int64(rounds):
+		p.exhausted++
+	case fills == 1:
+		p.noCands++
+	default:
+		p.converged++
+	}
+}
+
 // randomGraph samples a small random connected topology.
 func randomGraph(rng *rand.Rand) *topo.Graph {
 	var g *topo.Graph
@@ -247,7 +274,10 @@ func checkEqual(t *testing.T, trial int, what string, ref, got []float64) {
 // driveEquivalence admits a random workload in arrival order, invoking
 // both allocators after every admit batch and after random finishes, and
 // requires bit-identical outputs throughout.
-func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow, rng *rand.Rand) {
+//
+// With paths non-nil the runner must carry a registry: each class-based
+// INRP allocation's exit path is then counted from its fills.
+func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow, rng *rand.Rand, paths *exitPaths) {
 	t.Helper()
 	next := 0
 	for next < len(flows) || len(r.activeOrder) > 0 {
@@ -273,8 +303,12 @@ func driveEquivalence(t *testing.T, trial int, r *runner, flows []workload.Flow,
 		refHops = append([]float64(nil), refHops...)
 
 		r.res.Backpressured = bp
+		fills0 := r.mPoolRounds.Value()
 		rates, hops := r.allocate()
 		gotBP := r.res.Backpressured - bp
+		if paths != nil && r.cfg.Policy == INRP {
+			paths.record(t, trial, r.cfg.PoolingRounds, r.mPoolRounds.Value()-fills0)
+		}
 
 		checkEqual(t, trial, "rates", refRates, rates)
 		checkEqual(t, trial, "hopsExp", refHops, hops)
@@ -332,7 +366,61 @@ func TestClassAllocatorEquivalence(t *testing.T) {
 			Matrix:   workload.NewGravity(g, rng.Int63()),
 			Count:    10 + rng.Intn(40),
 		})
-		driveEquivalence(t, trial, r, flows, rng)
+		driveEquivalence(t, trial, r, flows, rng, nil)
+	}
+}
+
+// TestPoolingFixpointExitPaths widens the equivalence harness to every
+// way the INRP pooling fixpoint can end: PoolingRounds from 1 to 6, blind
+// and capacity-aware planning, and mixed link capacities including
+// zero-capacity links (arcs saturated while idle). Every allocation must
+// stay bit-identical to allocateINRPRef, which always runs every round,
+// and each exit path must be taken at least once: no candidates,
+// converged after k ≥ 1 rounds on non-zero grants, and never converged.
+func TestPoolingFixpointExitPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	trials := 80
+	if testing.Short() {
+		trials = 24
+	}
+	var paths exitPaths
+	for trial := 0; trial < trials; trial++ {
+		g := randomGraph(rng)
+		links := g.Links()
+		for i := range links {
+			switch rng.Intn(8) {
+			case 0:
+				links[i].Capacity = 0
+			case 1, 2:
+				links[i].Capacity = units.BitRate(10+rng.Intn(1000)) * units.Mbps
+			}
+		}
+		cfg := Config{
+			Graph:         g,
+			Policy:        INRP,
+			PoolingRounds: 1 + rng.Intn(6),
+			Planner:       core.DefaultPlannerConfig(),
+			Obs:           obs.New("exit-paths"),
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Planner.Mode = core.Blind
+		}
+		if rng.Intn(2) == 0 {
+			cfg.DemandCap = units.BitRate(20+rng.Intn(100)) * units.Mbps
+		}
+		r := &runner{cfg: cfg, g: g}
+		r.init()
+		flows := workload.Generate(workload.Spec{
+			Arrivals: workload.NewPoisson(20, rng.Int63()),
+			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
+			Matrix:   workload.NewGravity(g, rng.Int63()),
+			Count:    10 + rng.Intn(40),
+		})
+		driveEquivalence(t, trial, r, flows, rng, &paths)
+	}
+	t.Logf("exit paths: %+v", paths)
+	if paths.single == 0 || paths.noCands == 0 || paths.converged == 0 || paths.exhausted == 0 {
+		t.Fatalf("an exit path was never taken: %+v", paths)
 	}
 }
 
@@ -597,4 +685,35 @@ func runPairSkipUnrouted(t *testing.T, trial int, cfg Config) (heap, scan *Resul
 		return nil, nil
 	}
 	return heap, scan
+}
+
+// TestSameGrantsBitExact pins the fixpoint's convergence test to bit
+// equality: grants one ulp apart are different grants, and an input
+// without grants only matches an output without grants.
+func TestSameGrantsBitExact(t *testing.T) {
+	r := newTestRunner(t, topo.Line(3), INRP, 0)
+	grant := func(rate float64) {
+		r.resetGrants()
+		r.grantsFor[1] = rate
+		r.grantRecs = append(r.grantRecs, grantRec{src: 1, rate: rate})
+	}
+	grant(3e6)
+	copy(r.prevGrants, r.grantsFor)
+	if !r.sameGrants(true) {
+		t.Error("identical grants not recognised as converged")
+	}
+	grant(math.Nextafter(3e6, math.Inf(1)))
+	if r.sameGrants(true) {
+		t.Error("grants one ulp apart treated as converged")
+	}
+	if r.sameGrants(false) {
+		t.Error("grants out of a grant-free input treated as converged")
+	}
+	r.resetGrants()
+	if !r.sameGrants(false) {
+		t.Error("grant-free round not recognised as converged")
+	}
+	if r.sameGrants(true) {
+		t.Error("grants dropped to none treated as converged")
+	}
 }

@@ -70,8 +70,10 @@ type Config struct {
 	// Zero value means core.DefaultPlannerConfig.
 	Planner core.PlannerConfig
 
-	// PoolingRounds is the number of fill→plan fixpoint iterations of the
-	// INRP allocator per event (default 4).
+	// PoolingRounds caps the fill→plan fixpoint iterations of the INRP
+	// allocator per event (default 4). The allocator stops early once a
+	// round reproduces the grants it started from; results are those of
+	// running every round.
 	PoolingRounds int
 
 	// DemandCap bounds every flow's rate (CBR-like demand). Zero means
@@ -209,6 +211,13 @@ type runner struct {
 	// admissions of an endpoint pair skip routing entirely.
 	classBySrcDst map[uint64]int32
 
+	// INRP per-run tables: the fixed saturation tolerance per arc, every
+	// arc index, and the ascending arcs with capBase ≤ epsBase, which
+	// count as saturated even when idle.
+	epsBase    []float64
+	allArcs    []int32
+	lowCapArcs []int32
+
 	// INRP pooling state, recomputed at every allocation.
 	grantsFor     []float64 // per arc: overflow successfully detoured
 	detourLoad    []float64 // per arc: detour traffic landed on it
@@ -232,10 +241,12 @@ type runner struct {
 	classRate    []float64     // per class: fill result / feasible rate
 	classFrozen  []bool        // per class: classFill freeze marks
 	classCut     []float64     // per class: feasibility cut of the pass
-	classExtra   []float64     // per class: expected extra (detour) hops
 	classHopsExp []float64     // per class: expected hops incl. detours
 	cands        congestedList // saturated-arc candidates of a round
 	grantRecs    []grantRec    // detour grants of the current plan
+	prevGrants   []float64     // per arc: grantsFor a pooling round started from
+	loadedArcs   []int32       // INRP: ascending arcs carrying live classes (classFill)
+	scanArcs     []int32       // INRP: loadedArcs ∪ lowCapArcs, ascending
 
 	// Completion-heap state (heap.go): the event loop finds the next
 	// completion by popping a lazily invalidated min-heap of projected
@@ -261,6 +272,7 @@ type runner struct {
 	// Observability instruments (nil without Config.Obs; updates are then
 	// nil-safe no-ops costing one nil check).
 	mAllocFills   *obs.Counter
+	mPoolRounds   *obs.Counter
 	mBackpressure *obs.Counter
 	mAdmitted     *obs.Counter
 	mFinished     *obs.Counter
@@ -296,6 +308,17 @@ func (r *runner) init() {
 	r.ecmp = make(map[topo.NodeID]*route.ECMP)
 	if r.cfg.Policy == INRP {
 		r.planner = core.NewPlanner(r.g, r.cfg.Planner)
+		// Per-run tables of the pooling rounds (alloc.go).
+		r.epsBase = make([]float64, r.nArcs)
+		r.allArcs = make([]int32, r.nArcs)
+		for a, c := range r.capBase {
+			r.epsBase[a] = saturationEps(c)
+			r.allArcs[a] = int32(a)
+			if c <= r.epsBase[a] {
+				r.lowCapArcs = append(r.lowCapArcs, int32(a))
+			}
+		}
+		r.prevGrants = make([]float64, r.nArcs)
 	}
 	r.grantsFor = make([]float64, r.nArcs)
 	r.detourLoad = make([]float64, r.nArcs)
@@ -320,6 +343,7 @@ func (r *runner) init() {
 	r.res.Policy = r.cfg.Policy
 	if reg := r.cfg.Obs; reg != nil {
 		r.mAllocFills = reg.Counter("flowsim_alloc_fills")
+		r.mPoolRounds = reg.Counter("flowsim_pool_rounds")
 		r.mBackpressure = reg.Counter("flowsim_backpressure_events")
 		r.mAdmitted = reg.Counter("flowsim_flows_admitted")
 		r.mFinished = reg.Counter("flowsim_flows_finished")

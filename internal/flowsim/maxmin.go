@@ -85,7 +85,7 @@ func progressiveFill(paths [][]int32, capacity []float64, caps []float64) []floa
 		// Freeze flows whose demand cap is met.
 		if caps != nil {
 			for f := 0; f < nFlows; f++ {
-				if !frozen[f] && caps[f] > 0 && caps[f]-level <= capEps(caps[f]) {
+				if !frozen[f] && caps[f] > 0 && caps[f]-level <= saturationEps(caps[f]) {
 					progressed = freeze(int32(f), caps[f]) || progressed
 				}
 			}
@@ -116,17 +116,9 @@ func progressiveFill(paths [][]int32, capacity []float64, caps []float64) []floa
 	return rates
 }
 
-// capEps is the absolute tolerance for a demand cap to count as reached.
-func capEps(cap float64) float64 {
-	eps := cap * 1e-9
-	if eps < 1e-6 {
-		eps = 1e-6
-	}
-	return eps
-}
-
 // saturationEps is the absolute slack below which an arc counts as
-// saturated, scaled to its capacity to stay robust across Mbps and Tbps.
+// saturated — or a demand cap as reached — scaled to the capacity (or
+// cap) to stay robust across Mbps and Tbps.
 func saturationEps(capacity float64) float64 {
 	eps := capacity * 1e-9
 	if eps < 1e-6 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -97,5 +98,65 @@ func TestObsBackpressureCounter(t *testing.T) {
 	snap := reg.Snapshot()
 	if got, want := snap.Counters["flowsim_backpressure_events"], int64(res.Backpressured); got != want {
 		t.Errorf("backpressure counter = %d, want %d (Result)", got, want)
+	}
+}
+
+// TestObsPoolRounds checks the pooling fixpoint's early exit through its
+// counter: on an uncongested Exodus run (demand-capped flows far below
+// link capacity) most allocations find no saturated arc, so the INRP
+// allocator must run fewer fills than PoolingRounds per allocation. The
+// counter only observes: the Result equals an uninstrumented run's.
+func TestObsPoolRounds(t *testing.T) {
+	cfg := Config{
+		Graph:     topo.MustBuildISP(topo.Exodus),
+		Policy:    INRP,
+		DemandCap: 100 * units.Mbps,
+		Horizon:   2 * time.Second,
+	}
+	cfg.Graph.SetAllCapacities(10 * units.Gbps)
+	cfg.Flows = benchFlows(cfg.Graph, 200)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New("pool-rounds")
+	cfg.Obs = reg
+	instrumented, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, instrumented) {
+		t.Fatalf("instrumented result diverged:\nplain:        %+v\ninstrumented: %+v", plain, instrumented)
+	}
+	snap := reg.Snapshot()
+	allocs, rounds := snap.Counters["flowsim_alloc_fills"], snap.Counters["flowsim_pool_rounds"]
+	t.Logf("alloc_fills %d, pool_rounds %d", allocs, rounds)
+	if allocs == 0 || rounds < allocs {
+		t.Fatalf("pool_rounds = %d with alloc_fills = %d: every allocation fills at least once", rounds, allocs)
+	}
+	if rounds >= 4*allocs {
+		t.Fatalf("pool_rounds = %d ≥ PoolingRounds × alloc_fills = %d: the fixpoint never exits early", rounds, 4*allocs)
+	}
+}
+
+// TestAllocatorSteadyStateAllocs pins the allocator's zero-allocation
+// steady state with the registry disabled and live: the counters are
+// nil-safe no-ops without a registry and plain atomics with one.
+func TestAllocatorSteadyStateAllocs(t *testing.T) {
+	for _, reg := range []*obs.Registry{nil, obs.New("allocs")} {
+		g := topo.MustBuildISP(topo.Exodus)
+		g.SetAllCapacities(450 * units.Mbps)
+		r := &runner{cfg: Config{Graph: g, Policy: INRP, PoolingRounds: 4, Obs: reg}, g: g}
+		r.cfg.Planner = core.DefaultPlannerConfig()
+		r.init()
+		for _, f := range benchFlows(g, 200) {
+			if err := r.admit(f, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.allocateClasses() // warm the planner cache and scratch
+		if n := testing.AllocsPerRun(20, func() { r.allocateClasses() }); n != 0 {
+			t.Errorf("registry %v: %v allocs per allocation, want 0", reg != nil, n)
+		}
 	}
 }

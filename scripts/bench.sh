@@ -40,7 +40,7 @@ run_pkg() {
 
 echo "bench: running suite (benchtime $BENCHTIME)..." >&2
 run_pkg . 'BenchmarkFig4Scaled|BenchmarkFig4Huge|BenchmarkChunknetFanIn|BenchmarkChunknetDetour|BenchmarkChunknetLossy'
-run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkRunINRP'
+run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkRunSP|BenchmarkRunINRP'
 run_pkg ./internal/des 'BenchmarkScheduleAndRun'
 
 # Extract "name ns_per_op bytes_per_op allocs_per_op" rows from the raw
