@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -48,6 +49,10 @@ type packet struct {
 	bpArc  topo.Arc
 	bpRate units.BitRate
 	resend bool
+
+	// arrival is the DES key the packet's pipe arrival fires under,
+	// reserved when it enters the propagation pipe.
+	arrival des.Key
 }
 
 // arcState is one direction of one link: serializer, control queue, and
@@ -77,8 +82,9 @@ type arcState struct {
 
 	// The serializer holds at most one packet (txPkt); serialised packets
 	// enter the propagation pipe and arrive in FIFO order after the arc's
-	// fixed delay. Both callbacks are bound once at construction, so
-	// transmitting allocates nothing.
+	// fixed delay. Only the head packet's arrival sits in the DES queue;
+	// the others wait under their reserved keys. Both callbacks are bound
+	// once at construction, so transmitting allocates nothing.
 	txPkt    *packet
 	pipe     []*packet
 	pipeHead int
@@ -268,9 +274,10 @@ func (a *arcState) transmit(p *packet) {
 }
 
 // txDone runs when serialisation finishes: the packet enters the
-// propagation pipe (arrivals fire in FIFO order — the delay is constant
-// per arc, so schedule order is arrival order) and the serializer picks
-// up its next packet.
+// propagation pipe and the serializer picks up its next packet. The
+// packet's arrival key is reserved now, exactly the key After(delay)
+// would give it; the delay is constant per arc, so keys are reserved in
+// arrival order and only the pipe's head needs a pending event.
 func (a *arcState) txDone() {
 	p := a.txPkt
 	a.txPkt = nil
@@ -284,19 +291,34 @@ func (a *arcState) txDone() {
 		a.kick()
 		return
 	}
+	d := a.sim.des
+	p.arrival = d.Reserve(d.Now() + a.delay)
 	a.pipe = append(a.pipe, p)
-	a.sim.des.After(a.delay, a.arriveFn)
+	if len(a.pipe)-a.pipeHead == 1 {
+		d.AtKey(p.arrival, a.arriveFn)
+	}
 	a.kick()
 }
 
-// deliverHead hands the oldest in-flight packet to the far end.
+// deliverHead hands the oldest in-flight packet to the far end and
+// schedules the next one's arrival under its reserved key.
 func (a *arcState) deliverHead() {
 	p := a.pipe[a.pipeHead]
 	a.pipe[a.pipeHead] = nil
 	a.pipeHead++
-	if a.pipeHead == len(a.pipe) {
+	switch {
+	case a.pipeHead == len(a.pipe):
 		a.pipe = a.pipe[:0]
 		a.pipeHead = 0
+	case a.pipeHead > 64 && a.pipeHead*2 > len(a.pipe):
+		// Compact once the dead prefix dominates, as popStored does for
+		// pktq: an arc that is never idle would otherwise grow the
+		// backing array by one slot per packet sent.
+		a.pipe = append(a.pipe[:0], a.pipe[a.pipeHead:]...)
+		a.pipeHead = 0
+	}
+	if a.pipeHead < len(a.pipe) {
+		a.sim.des.AtKey(a.pipe[a.pipeHead].arrival, a.arriveFn)
 	}
 	if a.pipeDoomed > 0 {
 		// This packet was in the pipe when the arc hard-failed; the pipe

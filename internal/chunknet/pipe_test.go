@@ -1,0 +1,84 @@
+package chunknet
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/topo"
+	"repro/internal/units"
+)
+
+// TestPipeBounded pins the propagation pipe's memory to what is actually
+// in flight: on a saturated 64-transfer fan-in the bottleneck arc is never
+// idle, so a pipe that only resets when it drains would grow its backing
+// array by one slot per packet sent. Every arc's cap(pipe) must stay
+// within a small multiple of its peak in-flight count, under both the
+// custody transport and drop-tail AIMD.
+func TestPipeBounded(t *testing.T) {
+	const leaves, transfers = 8, 64
+	for _, tr := range []Transport{INRPP, AIMD} {
+		g := topo.New("fanin")
+		g.AddNodes(leaves + 2)
+		hub, sink := topo.NodeID(leaves), topo.NodeID(leaves+1)
+		for l := 0; l < leaves; l++ {
+			g.MustAddLink(topo.NodeID(l), hub, 10*units.Gbps, time.Millisecond)
+		}
+		g.MustAddLink(hub, sink, 2*units.Gbps, time.Millisecond)
+		cfg := Config{Graph: g, Transport: tr, ChunkSize: 10 * units.KB, Anticipation: 64}
+		if tr == INRPP {
+			cfg.CustodyBytes = 200 * units.MB
+			cfg.InitialRequestRate = units.Gbps
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const chunks = 400
+		for i := 0; i < transfers; i++ {
+			if err := s.AddTransfer(Transfer{
+				ID: i + 1, Src: topo.NodeID(i % leaves), Dst: sink,
+				Chunks: chunks, Start: time.Duration(i) * time.Millisecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The pipe only grows in txDone, so sampling there sees the peak.
+		peak := make([]int, len(s.arcs))
+		sent := make([]int, len(s.arcs))
+		for i, a := range s.arcs {
+			if a == nil {
+				continue
+			}
+			i, a := i, a
+			a.txDoneFn = func() {
+				a.txDone()
+				sent[i]++
+				if n := len(a.pipe) - a.pipeHead; n > peak[i] {
+					peak[i] = n
+				}
+			}
+		}
+		rep := s.Run(10 * time.Second)
+		if len(rep.Completions) != transfers {
+			t.Fatalf("%v: %d of %d transfers completed", tr, len(rep.Completions), transfers)
+		}
+		bottleneck := 0
+		for i, a := range s.arcs {
+			if a == nil {
+				continue
+			}
+			if c := cap(a.pipe); c > 4*peak[i]+256 {
+				t.Errorf("%v arc %d>%d: cap(pipe) = %d after %d packets, peak in flight %d",
+					tr, a.from, a.to, c, sent[i], peak[i])
+			}
+			if a.from == hub && a.to == sink {
+				bottleneck = sent[i]
+			}
+		}
+		// The check only means something if the bottleneck carried far
+		// more packets than the bound allows slots.
+		if bottleneck < transfers*chunks {
+			t.Fatalf("%v: bottleneck sent %d packets, want at least %d", tr, bottleneck, transfers*chunks)
+		}
+	}
+}

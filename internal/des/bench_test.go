@@ -31,3 +31,29 @@ func BenchmarkNestedCascade(b *testing.B) {
 		s.Run()
 	}
 }
+
+// BenchmarkCancelRearm is AIMD's retransmission-timer pattern: 64 timers,
+// each cancelled and re-armed 200 ms out on every 1 ms tick, for 1000
+// ticks. Without compaction every cancel would leave a dead slot in the
+// heap until its deadline.
+func BenchmarkCancelRearm(b *testing.B) {
+	b.ReportAllocs()
+	noop := func() {}
+	for i := 0; i < b.N; i++ {
+		s := New()
+		var timers [64]Timer
+		ticks := 0
+		var tick func()
+		tick = func() {
+			for j := range timers {
+				timers[j].Cancel()
+				timers[j] = s.After(200*time.Millisecond, noop)
+			}
+			if ticks++; ticks < 1000 {
+				s.After(time.Millisecond, tick)
+			}
+		}
+		s.After(0, tick)
+		s.Run()
+	}
+}

@@ -120,6 +120,29 @@ func TestScheduleAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state scheduling allocates %.1f objects per run, want 0", allocs)
 	}
+	checkRearmAllocFree(t, s)
+}
+
+// checkRearmAllocFree extends the allocation contract to the
+// cancel-and-re-arm pattern of retransmission timers, whose cancelled
+// slots are recycled through compaction.
+func checkRearmAllocFree(t *testing.T, s *Simulator) {
+	t.Helper()
+	noop := func() {}
+	var timers [64]Timer
+	rearm := func() {
+		for i := range timers {
+			timers[i].Cancel()
+			timers[i] = s.After(time.Second, noop)
+		}
+		s.RunUntil(s.Now() + time.Millisecond)
+	}
+	for i := 0; i < 8; i++ { // warm the arena and the heap
+		rearm()
+	}
+	if allocs := testing.AllocsPerRun(100, rearm); allocs > 0 {
+		t.Errorf("steady-state cancel-and-re-arm allocates %.1f objects per run, want 0", allocs)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -249,4 +272,5 @@ func TestInstrumentedScheduleAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("instrumented scheduling allocates %.1f objects per run, want 0", allocs)
 	}
+	checkRearmAllocFree(t, s)
 }

@@ -1,0 +1,305 @@
+package des
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// The oracle below checks the kernel against its specification rather
+// than against an older implementation. Every event gets the key
+// (max(t, now), n), n counting At/After/Reserve calls; live events must
+// fire in key order, each at its own time, cancelled ones never; Pending
+// is the live count after every step. The reference is a plain list
+// scanned for its minimum.
+
+// refEvent is the reference model's view of one scheduled event.
+type refEvent struct {
+	key   Key
+	timer Timer
+	live  bool
+	nest  byte // what the callback does when it fires (see fire)
+}
+
+// oracle drives a Simulator and the reference side by side from a byte
+// stream; every decision (operation, time, nesting) is read from it.
+type oracle struct {
+	t   *testing.T
+	s   *Simulator
+	in  []byte
+	pos int
+
+	events   []*refEvent
+	reserved []Key
+	seq      uint64
+	floor    Key // smallest key AtKey may still use
+	fired    int
+	stopAt   int // Stop once fired reaches this (0: never)
+
+	compactions int
+}
+
+func (o *oracle) next() byte {
+	if o.pos >= len(o.in) {
+		return 0
+	}
+	b := o.in[o.pos]
+	o.pos++
+	return b
+}
+
+// dt draws a small duration, so equal times (ties broken by seq) are
+// common.
+func (o *oracle) dt() time.Duration { return time.Duration(o.next()%64) * time.Millisecond }
+
+func (o *oracle) live() int {
+	n := 0
+	for _, e := range o.events {
+		if e.live {
+			n++
+		}
+	}
+	return n
+}
+
+// min returns the live reference event that must fire next.
+func (o *oracle) min() *refEvent {
+	var m *refEvent
+	for _, e := range o.events {
+		if e.live && (m == nil || e.key.before(m.key)) {
+			m = e
+		}
+	}
+	return m
+}
+
+// refKey is the key the spec assigns to a scheduling at time at now.
+func (o *oracle) refKey(at time.Duration) Key {
+	if now := o.s.Now(); at < now {
+		at = now
+	}
+	k := Key{at: at, seq: o.seq}
+	o.seq++
+	return k
+}
+
+func (o *oracle) add(k Key, schedule func(fn func()) Timer) {
+	e := &refEvent{key: k, live: true, nest: o.next()}
+	o.events = append(o.events, e)
+	e.timer = schedule(func() { o.fire(e) })
+}
+
+// fire runs as the callback of e: it must be the reference minimum and
+// fire at its own time. Some callbacks schedule or cancel in turn.
+func (o *oracle) fire(e *refEvent) {
+	if !e.live {
+		o.t.Fatalf("cancelled or already fired event %v fired", e.key)
+	}
+	if m := o.min(); m != e {
+		o.t.Fatalf("fired %v, want %v", e.key, m.key)
+	}
+	if o.s.Now() != e.key.at {
+		o.t.Fatalf("event %v fired at %v", e.key, o.s.Now())
+	}
+	e.live = false
+	o.floor = Key{at: e.key.at, seq: e.key.seq + 1}
+	o.fired++
+	switch e.nest % 8 { // 0, what an exhausted stream reads, does nothing
+	case 1:
+		o.at()
+	case 2:
+		o.cancel()
+	}
+	if o.fired == o.stopAt {
+		o.s.Stop()
+	}
+}
+
+func (o *oracle) at() {
+	t := o.s.Now() + o.dt() - 4*time.Millisecond // sometimes in the past
+	o.add(o.refKey(t), func(fn func()) Timer { return o.s.At(t, fn) })
+}
+
+// cancel cancels one of the 64 most recently issued timers, live, fired
+// or already cancelled (the last two must be no-ops).
+func (o *oracle) cancel() {
+	if len(o.events) == 0 {
+		return
+	}
+	e := o.events[len(o.events)-1-int(o.next())%min(64, len(o.events))]
+	before := len(o.s.heap)
+	e.timer.Cancel()
+	e.live = false
+	if len(o.s.heap) < before {
+		o.compactions++
+	}
+}
+
+// rearm cancels the newest live timer and schedules a replacement, the
+// RTO pattern of a transport that re-arms its timeout on every ACK.
+func (o *oracle) rearm() {
+	for i := len(o.events) - 1; i >= 0; i-- {
+		if e := o.events[i]; e.live {
+			e.timer.Cancel()
+			e.live = false
+			break
+		}
+	}
+	d := o.dt()
+	o.add(o.refKey(o.s.Now()+d), func(fn func()) Timer { return o.s.After(d, fn) })
+}
+
+func (o *oracle) atKey() {
+	if len(o.reserved) == 0 {
+		return
+	}
+	k := o.reserved[0]
+	o.reserved = o.reserved[1:]
+	if k.before(o.floor) {
+		defer func() {
+			if recover() == nil {
+				o.t.Fatalf("AtKey(%v) with floor %v did not panic", k, o.floor)
+			}
+		}()
+		o.s.AtKey(k, func() {})
+		return
+	}
+	o.add(k, func(fn func()) Timer { return o.s.AtKey(k, fn) })
+}
+
+// runUntil runs to t and checks nothing due is left behind. Every key
+// at or before t reserved so far is then passed.
+func (o *oracle) runUntil(t time.Duration) {
+	o.s.RunUntil(t)
+	if m := o.min(); m != nil && m.key.at <= t {
+		o.t.Fatalf("RunUntil(%v) left %v pending", t, m.key)
+	}
+	if o.s.Now() != t {
+		o.t.Fatalf("RunUntil(%v) left clock at %v", t, o.s.Now())
+	}
+	o.floor = Key{at: t, seq: o.seq}
+}
+
+func (o *oracle) step() {
+	switch o.next() % 12 {
+	case 0, 1, 9:
+		o.at()
+	case 2, 10:
+		d := o.dt()
+		o.add(o.refKey(o.s.Now()+d), func(fn func()) Timer { return o.s.After(d, fn) })
+	case 3, 4:
+		o.cancel()
+	case 11:
+		for n := o.next() % 48; n > 0; n-- {
+			o.rearm()
+		}
+	case 5:
+		t := o.s.Now() + o.dt()
+		o.reserved = append(o.reserved, o.refKey(t))
+		if got := o.s.Reserve(t); got != o.reserved[len(o.reserved)-1] {
+			o.t.Fatalf("Reserve(%v) = %v, want %v", t, got, o.reserved[len(o.reserved)-1])
+		}
+	case 6:
+		o.atKey()
+	case 7:
+		o.runUntil(o.s.Now() + o.dt()/16)
+	case 8:
+		o.stopAt = o.fired + 1 + int(o.next()%4)
+		o.s.Run()
+		if o.fired != o.stopAt && o.live() != 0 {
+			o.t.Fatalf("Run returned after %d fires with %d live, Stop was due at %d",
+				o.fired, o.live(), o.stopAt)
+		}
+		o.stopAt = 0
+	}
+}
+
+// runOracle drives the op stream in, then drains the simulator.
+func runOracle(t *testing.T, in []byte) *oracle {
+	o := &oracle{t: t, s: New(), in: in}
+	for o.pos < len(o.in) {
+		o.step()
+		if got, want := o.s.Pending(), o.live(); got != want {
+			t.Fatalf("after op %d: Pending = %d, want %d", o.pos, got, want)
+		}
+	}
+	o.s.Run()
+	if n := o.live(); n != 0 || o.s.Pending() != 0 {
+		t.Fatalf("drained run left %d live reference events, Pending %d", n, o.s.Pending())
+	}
+	return o
+}
+
+func TestScheduleOracle(t *testing.T) {
+	compactions := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		in := make([]byte, 3000)
+		rand.New(rand.NewSource(seed)).Read(in)
+		o := runOracle(t, in)
+		compactions += o.compactions
+	}
+	t.Logf("%d compactions", compactions)
+	if compactions == 0 {
+		t.Error("no Cancel compacted the heap; the oracle missed that path")
+	}
+}
+
+// TestCancelCompactsHeap pins the heap bound of the cancel-and-re-arm
+// pattern: 64 timers re-armed 200 times each leave the heap near its
+// live count, not one dead slot per cancel.
+func TestCancelCompactsHeap(t *testing.T) {
+	s := New()
+	timers := make([]Timer, 64)
+	for i := range timers {
+		timers[i] = s.After(time.Second, func() {})
+	}
+	for r := 0; r < 200; r++ {
+		for i := range timers {
+			timers[i].Cancel()
+			timers[i] = s.After(time.Second, func() {})
+		}
+	}
+	if got := s.Pending(); got != len(timers) {
+		t.Fatalf("Pending = %d, want %d", got, len(timers))
+	}
+	if n := len(s.heap); n > 2*len(timers)+compactFloor+1 {
+		t.Errorf("heap holds %d slots for %d live timers", n, len(timers))
+	}
+}
+
+func TestAtKeyPassedPanics(t *testing.T) {
+	s := New()
+	early := s.Reserve(time.Second)
+	s.After(2*time.Second, func() {})
+	s.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("AtKey with a key before the last fired event did not panic")
+		}
+	}()
+	s.AtKey(early, func() {})
+}
+
+func TestAtKeyAfterRunUntilPanics(t *testing.T) {
+	s := New()
+	k := s.Reserve(time.Second)
+	s.RunUntil(time.Second) // k was due, but nothing was scheduled under it
+	defer func() {
+		if recover() == nil {
+			t.Error("AtKey with a key the clock already passed did not panic")
+		}
+	}()
+	s.AtKey(k, func() {})
+}
+
+func FuzzSchedule(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		in := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(in)
+		f.Add(in)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		runOracle(t, in)
+	})
+}

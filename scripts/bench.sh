@@ -15,8 +15,9 @@
 #   ALLOW_PCT   smoke-mode allocs/op regression allowance in percent
 #
 # The suite covers the two simulation hot paths (flowsim allocator,
-# chunknet DES) plus the DES kernel; allocs/op is the gated metric because
-# it is machine-independent, unlike wall-clock.
+# chunknet DES) plus the DES kernel (schedule-and-run, nested cascade,
+# cancel-and-re-arm); allocs/op is the gated metric because it is
+# machine-independent, unlike wall-clock.
 set -eu
 
 cd "$(dirname "$0")/.." || exit 1
@@ -27,7 +28,7 @@ ALLOW_PCT="${ALLOW_PCT:-25}"
 
 # Gated benchmarks: the DES kernel and the allocator/simulator hot paths.
 # A smoke run fails when any of these regresses in allocs/op.
-GATED="BenchmarkScheduleAndRun BenchmarkFig4Scaled/SP BenchmarkFig4Scaled/INRP BenchmarkFig4Huge/SP BenchmarkFig4Huge/INRP BenchmarkChunknetFanIn BenchmarkChunknetDetour BenchmarkChunknetLossy"
+GATED="BenchmarkScheduleAndRun BenchmarkCancelRearm BenchmarkFig4Scaled/SP BenchmarkFig4Scaled/INRP BenchmarkFig4Huge/SP BenchmarkFig4Huge/INRP BenchmarkChunknetFanIn BenchmarkChunknetDetour BenchmarkChunknetLossy"
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
@@ -41,7 +42,7 @@ run_pkg() {
 echo "bench: running suite (benchtime $BENCHTIME)..." >&2
 run_pkg . 'BenchmarkFig4Scaled|BenchmarkFig4Huge|BenchmarkChunknetFanIn|BenchmarkChunknetDetour|BenchmarkChunknetLossy'
 run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkRunSP|BenchmarkRunINRP'
-run_pkg ./internal/des 'BenchmarkScheduleAndRun'
+run_pkg ./internal/des 'BenchmarkScheduleAndRun|BenchmarkNestedCascade|BenchmarkCancelRearm'
 
 # Extract "name ns_per_op bytes_per_op allocs_per_op" rows from the raw
 # `go test -bench` output. Benchmark lines pair each value with its unit,
