@@ -58,12 +58,9 @@
 //	hostB$ sweep -mode chunk -shard 1/2 -checkpoint b.jsonl
 //	hostA$ sweep -mode chunk -merge a.jsonl,b.jsonl
 //
-// The default partition balances scenario counts; -shard-weighted
-// partitions by a per-scenario cost estimate instead (flows × horizon in
-// flow mode, chunks × transfers in chunk mode, assigned greedily
-// longest-first), so heterogeneous grids split by predicted wall-clock.
-// Every host must pass the same flags; the resulting checkpoints merge
-// exactly like hash-partitioned ones.
+// Every host must pass the same grid flags. The partition hashes each
+// scenario's identity, so it balances scenario counts, not wall-clock;
+// for heterogeneous grids use the sweep service below.
 //
 // The sweep service replaces static shards with lease-based work
 // stealing (see internal/sweepd): -mode serve starts a coordinator on
@@ -118,6 +115,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -152,7 +150,6 @@ func main() {
 	sketchEps := flag.Float64("sketch-eps", 0, "sketch rank-error fraction (0 = default 0.01)")
 	aggBudget := flag.Int64("agg-budget", 0, "auto aggregation: pooled raw-sample budget before the sketch cutover (0 = default 2^20)")
 	shardStr := flag.String("shard", "", "run only shard i/n of the grid (0-based, e.g. 0/3); combine shard checkpoints with -merge")
-	shardWeighted := flag.Bool("shard-weighted", false, "partition -shard by per-scenario cost (greedy LPT: flows×horizon in flow mode, chunks×transfers in chunk mode) instead of the identity hash, balancing predicted wall-clock across heterogeneous grids")
 	mergeList := flag.String("merge", "", "merge shard checkpoint files (comma-separated JSONL paths) instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -254,7 +251,6 @@ func main() {
 	var (
 		scenarios []sweep.Scenario
 		label     string
-		costFn    sweep.CostFunc
 	)
 	switch gridMode {
 	case "flow":
@@ -269,11 +265,6 @@ func main() {
 		})
 		label = fmt.Sprintf("flow capacity=%s demand=%s size=%s lambda=%g horizon=%s",
 			*capStr, *demandStr, *sizeStr, *lambda, *horizon)
-		horizonSecs := horizon.Seconds()
-		costFn = func(sc sweep.Scenario) float64 {
-			n, _ := strconv.Atoi(sc.Point.Get("flows"))
-			return float64(n) * horizonSecs
-		}
 	case "chunk":
 		if *horizon == 0 {
 			*horizon = 5 * time.Second
@@ -303,11 +294,6 @@ func main() {
 		if *detourRateStr != "" {
 			label += fmt.Sprintf(" detour=%s", *detourRateStr)
 		}
-		chunksPer := float64(*chunks)
-		costFn = func(sc sweep.Scenario) float64 {
-			transfers, _ := strconv.Atoi(sc.Point.Get("transfers"))
-			return chunksPer * float64(transfers)
-		}
 	default:
 		fatal(fmt.Errorf("unknown grid %q (known: flow, chunk)", gridMode))
 	}
@@ -318,21 +304,6 @@ func main() {
 		if shard, err = sweep.ParseShard(*shardStr); err != nil {
 			fatal(err)
 		}
-	}
-	// The partition in effect: the identity-hash shard by default, the
-	// cost-balanced LPT assignment with -shard-weighted.
-	var part sweep.Partitioner = shard
-	shardLabel := shard.String()
-	if *shardWeighted {
-		if *shardStr == "" {
-			fatal(fmt.Errorf("-shard-weighted requires -shard i/n"))
-		}
-		ws, err := sweep.ShardWeighted(shard.Index, shard.Count, scenarios, costFn)
-		if err != nil {
-			fatal(err)
-		}
-		part = ws
-		shardLabel = ws.String()
 	}
 
 	aggMode, err := sweep.ParseAggMode(*aggStr)
@@ -365,7 +336,7 @@ func main() {
 			newAccumulator: newAccumulator,
 			format:         *format,
 			metricsList:    *metricsList,
-			tableTitle:     title(scenarios, *replicas, *seed, "", 1, 0),
+			tableTitle:     title(scenarios, *replicas, *seed, sweep.Shard{}),
 			linger:         *metricsLinger,
 			quiet:          *quiet,
 			reg:            reg,
@@ -402,12 +373,12 @@ func main() {
 		if err := sweep.MergeCheckpointsInto(acc, label, scenarios, split(*mergeList)...); err != nil {
 			fatal(err)
 		}
-		render(*format, *metricsList, title(scenarios, *replicas, *seed, "", 1, 0), acc)
+		render(*format, *metricsList, title(scenarios, *replicas, *seed, sweep.Shard{}), acc)
 		stopProfiles()
 		return
 	}
 
-	runner := &sweep.Runner{Workers: *workers, Shard: shard, Partition: part, Obs: reg}
+	runner := &sweep.Runner{Workers: *workers, Shard: shard, Obs: reg}
 	if !*quiet {
 		runner.Progress = func(done, total int, r sweep.Result) {
 			status := "ok"
@@ -442,7 +413,7 @@ func main() {
 		_, failed, err = runner.ResumeCheckpointAccumulate(context.Background(), *checkpointPath, label, scenarios, acc,
 			func(restored int) {
 				fmt.Fprintf(os.Stderr, "sweep: restored %d/%d scenarios from %s\n",
-					restored, len(part.Select(scenarios)), *checkpointPath)
+					restored, len(shard.Select(scenarios)), *checkpointPath)
 			})
 	} else {
 		failed, err = runner.Accumulate(context.Background(), scenarios, acc)
@@ -460,14 +431,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", r.Err)
 	}
 
-	render(*format, *metricsList, title(scenarios, *replicas, *seed, shardLabel, shard.Count, len(part.Select(scenarios))), acc)
+	render(*format, *metricsList, title(scenarios, *replicas, *seed, shard), acc)
 	stopProfiles()
 	if *metricsAddr != "" && *metricsLinger > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: metrics serving final snapshot for %s\n", *metricsLinger)
 		time.Sleep(*metricsLinger)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d scenarios failed\n", len(failed), len(part.Select(scenarios)))
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d scenarios failed\n", len(failed), len(shard.Select(scenarios)))
 		os.Exit(1)
 	}
 }
@@ -556,8 +527,8 @@ func stopProfiles() {
 
 // title renders the table heading. A sharded run labels itself and its
 // slice size; merged and unsharded runs must produce identical bytes, so
-// they share the zero-shard form (shardCount ≤ 1).
-func title(scenarios []sweep.Scenario, replicas int, seed int64, shardLabel string, shardCount, selected int) string {
+// they share the zero-shard form.
+func title(scenarios []sweep.Scenario, replicas int, seed int64, shard sweep.Shard) string {
 	rep := replicas
 	if rep < 1 {
 		rep = 1 // mirrors Grid.Expand's floor
@@ -566,11 +537,11 @@ func title(scenarios []sweep.Scenario, replicas int, seed int64, shardLabel stri
 	// mode collapses redundant baseline cells after expansion.
 	base := fmt.Sprintf("Scenario sweep — %d scenarios, %d points, seed %d",
 		len(scenarios), len(scenarios)/rep, seed)
-	if shardCount <= 1 {
+	if shard.Count <= 1 {
 		return base
 	}
 	return fmt.Sprintf("%s — shard %s (%d scenarios here)",
-		base, shardLabel, selected)
+		base, shard, len(shard.Select(scenarios)))
 }
 
 // render writes the accumulator's aggregates in the requested format.
@@ -626,27 +597,28 @@ func flowScenarios(a flowArgs) []sweep.Scenario {
 		fatal(err)
 	}
 
-	isps := split(a.isps)
+	isps := axis("isps", a.isps)
 	for _, isp := range isps {
 		if _, err := topo.BuildISP(topo.ISP(isp)); err != nil {
 			fatal(fmt.Errorf("%w (known: %v)", err, topo.ISPs()))
 		}
 	}
-	pols := split(a.policies)
+	pols := axis("policies", a.policies)
 	for _, p := range pols {
 		if _, err := sweep.ParsePolicy(p); err != nil {
 			fatal(err)
 		}
 	}
-	for _, f := range split(a.flows) {
-		if _, err := strconv.Atoi(f); err != nil {
-			fatal(fmt.Errorf("bad -flows entry %q", f))
+	flows := axis("flows", a.flows)
+	for _, f := range flows {
+		if n, err := strconv.Atoi(f); err != nil || n <= 0 {
+			fatal(fmt.Errorf("bad -flows entry %q: want a positive flow count", f))
 		}
 	}
 
 	grid := sweep.NewGrid().
 		Axis("isp", isps...).
-		Axis("flows", split(a.flows)...).
+		Axis("flows", flows...).
 		Axis("policy", pols...).
 		SeedAxes("isp", "flows")
 	scenarios := grid.Expand(a.seed, a.replicas,
@@ -716,31 +688,41 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 		fatal(err)
 	}
 
-	transports := split(a.transports)
+	if a.chunks < 0 {
+		fatal(fmt.Errorf("bad -chunks %d: want a non-negative count (0 = default)", a.chunks))
+	}
+	transports := axis("transports", a.transports)
 	for _, tr := range transports {
 		if _, err := sweep.ParseTransport(tr); err != nil {
 			fatal(err)
 		}
 	}
-	for _, ac := range split(a.acs) {
-		if _, err := strconv.ParseInt(ac, 10, 64); err != nil {
-			fatal(fmt.Errorf("bad -anticipations entry %q", ac))
+	acs := axis("anticipations", a.acs)
+	for _, ac := range acs {
+		if n, err := strconv.ParseInt(ac, 10, 64); err != nil || n < 0 {
+			fatal(fmt.Errorf("bad -anticipations entry %q: want a non-negative window (0 = default)", ac))
 		}
 	}
-	for _, c := range split(a.custody) {
+	custodies := axis("custody", a.custody)
+	for _, c := range custodies {
 		if _, err := units.ParseByteSize(c); err != nil {
 			fatal(fmt.Errorf("bad -custody entry %q: %w", c, err))
 		}
 	}
-	for _, n := range split(a.transfers) {
-		if _, err := strconv.Atoi(n); err != nil {
-			fatal(fmt.Errorf("bad -transfers entry %q", n))
+	transfers := axis("transfers", a.transfers)
+	for _, n := range transfers {
+		if v, err := strconv.Atoi(n); err != nil || v < 0 {
+			fatal(fmt.Errorf("bad -transfers entry %q: want a non-negative count (0 = default)", n))
 		}
 	}
 	outageKind := mustOutageKind(a.outageKind)
-	var outageDownRate units.BitRate
+	var (
+		outageUps, outageDowns []string
+		outageDownRate         units.BitRate
+	)
 	if outageKind != topo.OutageNone {
-		for _, d := range append(split(a.outageUps), split(a.outageDowns)...) {
+		outageUps, outageDowns = axis("outage-up", a.outageUps), axis("outage-down", a.outageDowns)
+		for _, d := range slices.Concat(outageUps, outageDowns) {
 			if _, err := time.ParseDuration(d); err != nil {
 				fatal(fmt.Errorf("bad outage duration %q: %w", d, err))
 			}
@@ -757,7 +739,7 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 	// time instead of mid-sweep. Each axis only joins the grid when its
 	// flag moves off the quiet default, keeping failure-free scenario
 	// names, seeds and output bytes exactly as they were.
-	losses := split(a.losses)
+	losses := axis("loss", a.losses)
 	lossAxis := false
 	for _, l := range losses {
 		p, err := strconv.ParseFloat(l, 64)
@@ -771,7 +753,7 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 			lossAxis = true
 		}
 	}
-	failovers := split(a.failovers)
+	failovers := axis("failover", a.failovers)
 	failoverAxis := false
 	for _, f := range failovers {
 		mode, err := chunknet.ParseFailoverMode(f)
@@ -792,7 +774,7 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 	if failoverAxis && detourRate == 0 {
 		fatal(fmt.Errorf("-failover reroute/both needs a detour path: set -detour-rate"))
 	}
-	correlateds := split(a.correlated)
+	correlateds := axis("correlated", a.correlated)
 	correlatedAxis := false
 	for _, c := range correlateds {
 		v, err := strconv.ParseBool(c)
@@ -827,13 +809,13 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 	// at each (up, down, transfers) point.
 	grid := sweep.NewGrid().
 		Axis("transport", transports...).
-		Axis("ac", split(a.acs)...).
-		Axis("custody", split(a.custody)...).
-		Axis("transfers", split(a.transfers)...)
+		Axis("ac", acs...).
+		Axis("custody", custodies...).
+		Axis("transfers", transfers...)
 	seedAxes := []string{"transfers"}
 	if outageKind != topo.OutageNone {
-		grid.Axis("outage_up", split(a.outageUps)...).
-			Axis("outage_down", split(a.outageDowns)...)
+		grid.Axis("outage_up", outageUps...).
+			Axis("outage_down", outageDowns...)
 		seedAxes = append(seedAxes, "outage_up", "outage_down")
 	}
 	// The loss and correlation axes change the failure realization, so
@@ -897,7 +879,6 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 	// would run byte-identically at every such cell. Baselines keep only
 	// the first listed value of each, so wide INRPP grids don't multiply
 	// baseline wall-clock (or duplicate their rows) for free.
-	acs, custodies := split(a.acs), split(a.custody)
 	kept := scenarios[:0]
 	for _, sc := range scenarios {
 		if sc.Point.Get("transport") != "inrpp" {
@@ -911,6 +892,16 @@ func chunkScenarios(a chunkArgs) []sweep.Scenario {
 		kept = append(kept, sc)
 	}
 	return kept
+}
+
+// axis splits a comma-separated grid-axis flag, dying when it names no
+// value: an empty axis would expand to a silent 0-scenario table.
+func axis(flag, s string) []string {
+	values := split(s)
+	if len(values) == 0 {
+		fatal(fmt.Errorf("-%s: empty list", flag))
+	}
+	return values
 }
 
 // split parses a comma-separated list, trimming blanks.

@@ -313,58 +313,49 @@ func TestSweepShardMerge(t *testing.T) {
 	mustFail("cannot be combined", append(shardGridArgs(), "-q", "-merge", mergeArg, "-shard", "0/3")...)
 }
 
-// TestSweepResumeRequiresCheckpoint: -resume without -checkpoint must
-// fail fast, before any simulation work.
-// TestSweepShardWeightedMerge runs the shard grid as two cost-weighted
-// shards and merges them: the LPT partition must cover the grid exactly
-// once and the merged bytes must match the unsharded run — the same
-// contract TestSweepShardMerge pins for the identity-hash partition.
-func TestSweepShardWeightedMerge(t *testing.T) {
+// TestSweepBadEntriesFailAtParse: a grid entry no scenario can run — a
+// non-positive flow count, a negative count or window, an empty axis —
+// must stop the sweep at flag parse with an error naming its flag, never
+// reach the simulators (where -flows 0 panicked every scenario) or exit 0
+// with an empty or all-zero table.
+func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process shard/merge run")
+		t.Skip("multi-process sweep run")
 	}
 	bin := buildSweep(t)
-	dir := t.TempDir()
-
-	// Use a faster variant of the shard grid: weighted sharding changes
-	// who runs what, not the physics, so a small grid suffices.
-	args := func(extra ...string) []string {
-		base := []string{
-			"-mode", "chunk",
-			"-transports", "inrpp,aimd",
-			"-anticipations", "512",
-			"-custody", "50MB",
-			"-transfers", "1,2",
-			"-ingress", "2Gbps", "-egress", "1Gbps",
-			"-chunksize", "10KB", "-chunks", "5000",
-			"-buffer", "1MB",
-			"-horizon", "2s",
-			"-replicas", "2",
-			"-seed", "11",
-			"-q",
+	flow := []string{"-isps", "VSNL (IN)", "-flows", "10", "-replicas", "1", "-horizon", "1s", "-q"}
+	chunk := []string{"-mode", "chunk", "-chunks", "10", "-replicas", "1", "-horizon", "1s", "-q"}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-flows", append(flow, "-flows", "0")},
+		{"-flows", append(flow, "-flows", "60,-5")},
+		{"-isps", append(flow, "-isps", "")},
+		{"-policies", append(flow, "-policies", ",")},
+		{"-transfers", append(chunk, "-transfers", "-2")},
+		{"-chunks", append(chunk, "-chunks", "-1")},
+		{"-anticipations", append(chunk, "-anticipations", "-1")},
+		{"-transports", append(chunk, "-transports", "")},
+		{"-custody", append(chunk, "-custody", "")},
+		{"-outage-up", append(chunk, "-outage-kind", "exp", "-outage-up", "")},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: exited 0, want a flag error\n%s", tc.args, out)
+			continue
 		}
-		return append(base, extra...)
-	}
-
-	golden, _ := runSweep(t, bin, args()...)
-
-	shardCPs := make([]string, 2)
-	for i := range shardCPs {
-		shardCPs[i] = filepath.Join(dir, fmt.Sprintf("wshard%d.jsonl", i))
-		runSweep(t, bin, args("-shard", fmt.Sprintf("%d/2", i), "-shard-weighted",
-			"-checkpoint", shardCPs[i])...)
-	}
-	out, _ := runSweep(t, bin, args("-merge", strings.Join(shardCPs, ","))...)
-	if out != golden {
-		t.Errorf("merged weighted-shard table differs from unsharded run:\n%s\n--- vs ---\n%s", out, golden)
-	}
-
-	// -shard-weighted without -shard is an error.
-	if raw, err := exec.Command(bin, args("-shard-weighted")...).CombinedOutput(); err == nil {
-		t.Fatalf("-shard-weighted without -shard succeeded:\n%s", raw)
+		if bytes.Contains(out, []byte("panicked")) {
+			t.Errorf("%v: reached the simulators:\n%s", tc.args, out)
+		}
+		if !bytes.Contains(out, []byte(tc.flag)) {
+			t.Errorf("%v: error does not name %s:\n%s", tc.args, tc.flag, out)
+		}
 	}
 }
 
+// TestSweepResumeRequiresCheckpoint: -resume without -checkpoint must
+// fail fast, before any simulation work.
 func TestSweepResumeRequiresCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")

@@ -39,16 +39,9 @@ type CustodyConfig struct {
 	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
 	// outcome is identical at any worker count.
 	Workers int
-	// Shard restricts the run to one slice of the deterministic scenario
-	// partition (see sweep.Shard; the zero value runs everything), so a
-	// custody grid can be split across machines. A sharded run's result
-	// covers only its transports — set Checkpoint on every host and
-	// combine the files with CustodyMerge.
-	Shard sweep.Shard
 	// Checkpoint, when non-empty, streams every completed scenario to
 	// this JSONL file and restores scenarios already present before
-	// running — both the resume unit after a kill and the artifact a
-	// distributed run ships between hosts.
+	// running, so a killed run resumes instead of restarting.
 	Checkpoint string
 	// Obs and Trace thread observability into every scenario (see
 	// sweep.ChunkSpec); each scenario traces under its canonical sweep
@@ -127,31 +120,17 @@ type CustodyRun struct {
 // Custody runs the experiment on the sweep engine: an aggressive push
 // into a bottleneck, once per transport on the transport axis of a
 // chunknet grid — INRPP custody+back-pressure against the AIMD and ARC
-// drop-tail baselines, all under identical offered load. With cfg.Shard
-// set, only that slice of the transport grid runs; with cfg.Checkpoint
-// set, completed scenarios stream to disk and a rerun resumes instead of
-// restarting.
+// drop-tail baselines, all under identical offered load. With
+// cfg.Checkpoint set, completed scenarios stream to disk and a rerun
+// resumes instead of restarting.
 func Custody(cfg CustodyConfig) (*CustodyResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Shard, cfg.Obs, cfg.Checkpoint, custodyLabel(cfg), custodyScenarios(cfg))
+	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, custodyLabel(cfg), custodyScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
 	if len(failed) > 0 {
 		return nil, fmt.Errorf("custody %w", failed[0].Err)
-	}
-	return custodyCollect(cfg, aggs)
-}
-
-// CustodyMerge combines the checkpoints of a distributed custody run —
-// one file per shard host — into the full result, without executing any
-// scenario. Checkpoints from a different CustodyConfig, overlapping
-// shard sets and incomplete coverage are all rejected loudly.
-func CustodyMerge(cfg CustodyConfig, checkpoints ...string) (*CustodyResult, error) {
-	cfg.applyDefaults()
-	aggs, err := mergeExperiment(custodyLabel(cfg), custodyScenarios(cfg), checkpoints...)
-	if err != nil {
-		return nil, err
 	}
 	return custodyCollect(cfg, aggs)
 }
@@ -179,9 +158,7 @@ func custodyLabel(cfg CustodyConfig) string {
 }
 
 // custodyCollect folds per-point aggregates into the experiment's
-// comparison. Points the process never ran (another shard's transports)
-// are absent, so a sharded run yields a partial — but never wrong —
-// result.
+// comparison.
 func custodyCollect(cfg CustodyConfig, aggs []sweep.Aggregate) (*CustodyResult, error) {
 	res := &CustodyResult{
 		HoldSeconds: cfg.IngressRate.TransmissionTime(cfg.Custody).Seconds(),

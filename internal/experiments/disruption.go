@@ -54,9 +54,6 @@ type DisruptionConfig struct {
 	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
 	// outcome is identical at any worker count.
 	Workers int
-	// Shard restricts the run to one slice of the deterministic scenario
-	// partition; combine shard checkpoints with DisruptionMerge.
-	Shard sweep.Shard
 	// Checkpoint, when non-empty, streams completed scenarios to this
 	// JSONL file and restores them on rerun.
 	Checkpoint string
@@ -134,29 +131,16 @@ type DisruptionResult struct {
 // Disruption runs the experiment on the sweep engine: each transport
 // pushes identical transfers through the custody chain while the egress
 // link churns under a seeded outage process, once per (outage rate,
-// transport, seed). With cfg.Shard set, only that slice runs; with
-// cfg.Checkpoint set, completed scenarios stream to disk and a rerun
-// resumes instead of restarting.
+// transport, seed). With cfg.Checkpoint set, completed scenarios stream
+// to disk and a rerun resumes instead of restarting.
 func Disruption(cfg DisruptionConfig) (*DisruptionResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Shard, cfg.Obs, cfg.Checkpoint, disruptionLabel(cfg), disruptionScenarios(cfg))
+	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, disruptionLabel(cfg), disruptionScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
 	if len(failed) > 0 {
 		return nil, fmt.Errorf("disruption %w", failed[0].Err)
-	}
-	return disruptionCollect(cfg, aggs)
-}
-
-// DisruptionMerge combines the checkpoints of a distributed disruption
-// run — one file per shard host — into the full result without executing
-// any scenario.
-func DisruptionMerge(cfg DisruptionConfig, checkpoints ...string) (*DisruptionResult, error) {
-	cfg.applyDefaults()
-	aggs, err := mergeExperiment(disruptionLabel(cfg), disruptionScenarios(cfg), checkpoints...)
-	if err != nil {
-		return nil, err
 	}
 	return disruptionCollect(cfg, aggs)
 }
@@ -213,9 +197,7 @@ func disruptionLabel(cfg DisruptionConfig) string {
 		cfg.OutageKind, cfg.OutageDown, cfg.OutageDownRate, cfg.Seeds)
 }
 
-// disruptionCollect folds per-point aggregates into result rows. Points
-// another shard ran are absent, so a sharded run yields a partial — but
-// never wrong — result.
+// disruptionCollect folds per-point aggregates into result rows.
 func disruptionCollect(cfg DisruptionConfig, aggs []sweep.Aggregate) (*DisruptionResult, error) {
 	res := &DisruptionResult{}
 	for _, a := range aggs {

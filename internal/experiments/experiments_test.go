@@ -1,15 +1,16 @@
 package experiments
 
 import (
-	"fmt"
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/flowsim"
-	"repro/internal/sweep"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -191,53 +192,9 @@ func tinyFig4() Fig4Config {
 	}
 }
 
-// TestFig4ShardMerge: a Figure 4 run split into two shard hosts — each
-// writing a checkpoint — merges into exactly the unsharded figure.
-func TestFig4ShardMerge(t *testing.T) {
-	golden, err := Fig4(tinyFig4())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	paths := make([]string, 2)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("fig4-shard%d.jsonl", i))
-		cfg := tinyFig4()
-		cfg.Shard = sweep.Shard{Index: i, Count: 2}
-		cfg.Checkpoint = paths[i]
-		if _, err := Fig4(cfg); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-
-	merged, err := Fig4Merge(tinyFig4(), paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := Fig4aReport(merged).String(), Fig4aReport(golden).String(); got != want {
-		t.Errorf("merged Fig4a differs from unsharded run:\n%s\n--- vs ---\n%s", got, want)
-	}
-	if got, want := Fig4bReport(merged).String(), Fig4bReport(golden).String(); got != want {
-		t.Errorf("merged Fig4b differs from unsharded run:\n%s\n--- vs ---\n%s", got, want)
-	}
-
-	// An incomplete shard set must fail loudly, not return a partial figure.
-	if _, err := Fig4Merge(tinyFig4(), paths[0]); err == nil {
-		t.Error("Fig4Merge with a missing shard should fail")
-	}
-	// As must a checkpoint recorded under a different configuration.
-	other := tinyFig4()
-	other.Horizon = 4 * time.Second
-	if _, err := Fig4Merge(other, paths...); err == nil {
-		t.Error("Fig4Merge with a foreign-config checkpoint should fail")
-	}
-}
-
-// TestCustodyShardMerge: the custody experiment's transport grid, split
-// across two shard hosts and merged, reproduces the unsharded report.
-func TestCustodyShardMerge(t *testing.T) {
-	base := CustodyConfig{
+// tinyCustody is a scaled-down custody chain for test speed.
+func tinyCustody() CustodyConfig {
+	return CustodyConfig{
 		IngressRate: 4 * units.Gbps,
 		EgressRate:  200 * units.Mbps,
 		Custody:     units.GB,
@@ -246,31 +203,111 @@ func TestCustodyShardMerge(t *testing.T) {
 		Chunks:      600,
 		Horizon:     4 * time.Second,
 	}
-	golden, err := Custody(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	dir := t.TempDir()
-	paths := make([]string, 2)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("custody-shard%d.jsonl", i))
-		cfg := base
-		cfg.Shard = sweep.Shard{Index: i, Count: 2}
-		cfg.Checkpoint = paths[i]
-		if _, err := Custody(cfg); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
+// TestExperimentCheckpointResume: Checkpoint is every experiment's resume
+// knob. A rerun on a complete checkpoint schedules no scenario and renders
+// the same report; a rerun whose config changes the physics is refused
+// with the config-label error and leaves the file's bytes untouched.
+func TestExperimentCheckpointResume(t *testing.T) {
+	// Each case runs its experiment at the tiny test config, with perturb
+	// changing one field that the checkpoint label binds.
+	cases := []struct {
+		name string
+		run  func(checkpoint string, reg *obs.Registry, perturb bool) (string, error)
+	}{
+		{"fig4", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
+			cfg := tinyFig4()
+			cfg.Checkpoint, cfg.Obs = checkpoint, reg
+			if perturb {
+				cfg.Horizon = 4 * time.Second
+			}
+			res, err := Fig4(cfg)
+			if err != nil {
+				return "", err
+			}
+			return Fig4aReport(res).String() + Fig4bReport(res).String(), nil
+		}},
+		{"custody", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
+			cfg := tinyCustody()
+			cfg.Checkpoint, cfg.Obs = checkpoint, reg
+			if perturb {
+				cfg.Chunks = 500
+			}
+			res, err := Custody(cfg)
+			if err != nil {
+				return "", err
+			}
+			return CustodyReport(res).String(), nil
+		}},
+		{"disruption", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
+			cfg := tinyDisruption()
+			cfg.Checkpoint, cfg.Obs = checkpoint, reg
+			if perturb {
+				cfg.OutageDown = 200 * time.Millisecond
+			}
+			res, err := Disruption(cfg)
+			if err != nil {
+				return "", err
+			}
+			return DisruptionReport(res).String(), nil
+		}},
+		{"failover", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
+			cfg := tinyFailover()
+			cfg.Checkpoint, cfg.Obs = checkpoint, reg
+			if perturb {
+				cfg.Horizon = 10 * time.Second
+			}
+			res, err := Failover(cfg)
+			if err != nil {
+				return "", err
+			}
+			return FailoverReport(res).String(), nil
+		}},
 	}
-	merged, err := CustodyMerge(base, paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := CustodyReport(merged).String(), CustodyReport(golden).String(); got != want {
-		t.Errorf("merged custody report differs from unsharded run:\n%s\n--- vs ---\n%s", got, want)
-	}
-	if _, err := CustodyMerge(base, paths[0]); err == nil {
-		t.Error("CustodyMerge with a missing shard should fail")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.name+".jsonl")
+			scheduled := func(reg *obs.Registry) int64 {
+				return reg.Counter("sweep_scenarios_scheduled").Value()
+			}
+
+			reg := obs.New("first")
+			first, err := tc.run(path, reg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scheduled(reg) == 0 {
+				t.Fatal("first run scheduled no scenarios")
+			}
+
+			reg = obs.New("rerun")
+			again, err := tc.run(path, reg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := scheduled(reg); n != 0 {
+				t.Errorf("rerun on a complete checkpoint scheduled %d scenarios, want 0", n)
+			}
+			if again != first {
+				t.Errorf("resumed report differs:\n%s\n--- vs ---\n%s", again, first)
+			}
+
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.run(path, nil, true); err == nil || !strings.Contains(err.Error(), "recorded under config") {
+				t.Errorf("rerun under a changed config: err = %v, want the config-label error", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Error("refused rerun modified the checkpoint file")
+			}
+		})
 	}
 }
 
@@ -342,35 +379,5 @@ func TestDisruptionExperiment(t *testing.T) {
 	}
 	if !strings.Contains(DisruptionReport(r).String(), "inrpp") {
 		t.Error("report missing transport rows")
-	}
-}
-
-// TestDisruptionShardMerge: the disruption grid split across two shard
-// hosts and merged reproduces the unsharded report.
-func TestDisruptionShardMerge(t *testing.T) {
-	golden, err := Disruption(tinyDisruption())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	paths := make([]string, 2)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("disruption-shard%d.jsonl", i))
-		cfg := tinyDisruption()
-		cfg.Shard = sweep.Shard{Index: i, Count: 2}
-		cfg.Checkpoint = paths[i]
-		if _, err := Disruption(cfg); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-	merged, err := DisruptionMerge(tinyDisruption(), paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := DisruptionReport(merged).String(), DisruptionReport(golden).String(); got != want {
-		t.Errorf("merged disruption report differs from unsharded run:\n%s\n--- vs ---\n%s", got, want)
-	}
-	if _, err := DisruptionMerge(tinyDisruption(), paths[0]); err == nil {
-		t.Error("DisruptionMerge with a missing shard should fail")
 	}
 }

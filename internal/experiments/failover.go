@@ -77,9 +77,6 @@ type FailoverConfig struct {
 	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
 	// outcome is identical at any worker count.
 	Workers int
-	// Shard restricts the run to one slice of the deterministic scenario
-	// partition; combine shard checkpoints with FailoverMerge.
-	Shard sweep.Shard
 	// Checkpoint, when non-empty, streams completed scenarios to this
 	// JSONL file and restores them on rerun.
 	Checkpoint string
@@ -180,8 +177,7 @@ type FailoverResult struct {
 }
 
 // Row returns the cell at the given coordinates, or false when that
-// point was not part of the run (a sharded partial, or an axis value
-// outside the config).
+// point was not part of the run (an axis value outside the config).
 func (r *FailoverResult) Row(profile string, correlated bool, custody units.ByteSize, strategy chunknet.FailoverMode) (FailoverRow, bool) {
 	for _, row := range r.Rows {
 		if row.Profile == profile && row.Correlated == correlated &&
@@ -196,29 +192,16 @@ func (r *FailoverResult) Row(profile string, correlated bool, custody units.Byte
 // every recovery strategy pushes an identical transfer through the
 // custody diamond while the bottleneck fails under each profile's seeded
 // process, once per (profile, correlation, custody, strategy, seed).
-// With cfg.Shard set, only that slice runs; with cfg.Checkpoint set,
-// completed scenarios stream to disk and a rerun resumes instead of
-// restarting.
+// With cfg.Checkpoint set, completed scenarios stream to disk and a
+// rerun resumes instead of restarting.
 func Failover(cfg FailoverConfig) (*FailoverResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Shard, cfg.Obs, cfg.Checkpoint, failoverLabel(cfg), failoverScenarios(cfg))
+	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, failoverLabel(cfg), failoverScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
 	if len(failed) > 0 {
 		return nil, fmt.Errorf("failover %w", failed[0].Err)
-	}
-	return failoverCollect(cfg, aggs)
-}
-
-// FailoverMerge combines the checkpoints of a distributed failover run —
-// one file per shard host — into the full result without executing any
-// scenario.
-func FailoverMerge(cfg FailoverConfig, checkpoints ...string) (*FailoverResult, error) {
-	cfg.applyDefaults()
-	aggs, err := mergeExperiment(failoverLabel(cfg), failoverScenarios(cfg), checkpoints...)
-	if err != nil {
-		return nil, err
 	}
 	return failoverCollect(cfg, aggs)
 }
@@ -305,9 +288,7 @@ func failoverLabel(cfg FailoverConfig) string {
 	return label
 }
 
-// failoverCollect folds per-point aggregates into result rows. Points
-// another shard ran are absent, so a sharded run yields a partial — but
-// never wrong — result.
+// failoverCollect folds per-point aggregates into result rows.
 func failoverCollect(cfg FailoverConfig, aggs []sweep.Aggregate) (*FailoverResult, error) {
 	res := &FailoverResult{}
 	for _, a := range aggs {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chunknet"
-	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -122,37 +121,12 @@ func TestFailoverFrontier(t *testing.T) {
 	}
 }
 
-// TestFailoverShardMerge: the failover grid split across two shard
-// checkpoints recombines into the unsharded report byte-for-byte.
-func TestFailoverShardMerge(t *testing.T) {
-	base := FailoverConfig{
+// tinyFailover is a scaled-down failover grid for test speed: one
+// custody budget, two strategies.
+func tinyFailover() FailoverConfig {
+	return FailoverConfig{
 		Custodies:  []units.ByteSize{32 * units.MB},
 		Strategies: []chunknet.FailoverMode{chunknet.FailoverHold, chunknet.FailoverReroute},
 		Horizon:    15 * time.Second,
-	}
-	golden, err := Failover(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var paths []string
-	for i := 0; i < 2; i++ {
-		cfg := base
-		cfg.Shard = sweep.Shard{Index: i, Count: 2}
-		cfg.Checkpoint = filepath.Join(dir, "shard"+string(rune('a'+i))+".jsonl")
-		paths = append(paths, cfg.Checkpoint)
-		if _, err := Failover(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := FailoverMerge(base, paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FailoverReport(merged).String(), FailoverReport(golden).String(); got != want {
-		t.Errorf("merged shard report differs from unsharded run:\nmerged:\n%s\nunsharded:\n%s", got, want)
-	}
-	if _, err := FailoverMerge(base, paths[0]); err == nil {
-		t.Error("FailoverMerge with a missing shard should fail")
 	}
 }

@@ -52,16 +52,9 @@ type Fig4Config struct {
 	// Workers bounds the scenario parallelism of the sweep (default
 	// runtime.GOMAXPROCS). Results are identical at any worker count.
 	Workers int
-	// Shard restricts the run to one slice of the deterministic scenario
-	// partition (see sweep.Shard; the zero value runs the whole grid), so
-	// the Figure 4 sweep can be split across machines. A sharded run's
-	// returned tables cover only its slice — set Checkpoint on every host
-	// and combine the files with Fig4Merge for the full figure.
-	Shard sweep.Shard
 	// Checkpoint, when non-empty, streams every completed scenario to
 	// this JSONL file and restores scenarios already present before
-	// running — both the resume unit after a kill and the artifact a
-	// distributed run ships between hosts.
+	// running, so a killed run resumes instead of restarting.
 	Checkpoint string
 	// Obs and Trace thread observability into every scenario (see
 	// sweep.FlowSpec); each scenario traces under its canonical sweep
@@ -126,17 +119,16 @@ type Fig4TopoResult struct {
 // flow arrivals on the three ISP topologies under SP, ECMP and INRP. The
 // ISP × policy × seed grid executes on the sweep engine's worker pool; the
 // workload seed is shared across the policy axis so every policy is
-// measured on the same flows at each replica. With cfg.Shard set, only
-// that slice of the grid runs (and only its rows are populated); with
-// cfg.Checkpoint set, completed scenarios stream to disk and a rerun
-// resumes instead of restarting.
+// measured on the same flows at each replica. With cfg.Checkpoint set,
+// completed scenarios stream to disk and a rerun resumes instead of
+// restarting.
 func Fig4(cfg Fig4Config) ([]Fig4TopoResult, error) {
 	cfg.applyDefaults()
 	scenarios, label, err := fig4Scenarios(cfg)
 	if err != nil {
 		return nil, err
 	}
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Shard, cfg.Obs, cfg.Checkpoint, label, scenarios)
+	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, label, scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -146,27 +138,9 @@ func Fig4(cfg Fig4Config) ([]Fig4TopoResult, error) {
 	return fig4Collect(cfg, aggs)
 }
 
-// Fig4Merge combines the checkpoints of a distributed Figure 4 run — one
-// file per shard host — into the full figure, without executing any
-// scenario. Checkpoints from a different Fig4Config are rejected (the
-// grid, per-scenario seeds and the config label are all validated), as
-// are overlapping or incomplete shard sets.
-func Fig4Merge(cfg Fig4Config, checkpoints ...string) ([]Fig4TopoResult, error) {
-	cfg.applyDefaults()
-	scenarios, label, err := fig4Scenarios(cfg)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := mergeExperiment(label, scenarios, checkpoints...)
-	if err != nil {
-		return nil, err
-	}
-	return fig4Collect(cfg, aggs)
-}
-
 // fig4Scenarios expands the Figure 4 grid and derives the config label
 // binding its checkpoints: every non-axis parameter that changes the
-// physics, so two hosts can only merge runs of the same configuration.
+// physics, so a rerun can only resume a run of the same configuration.
 // cfg must already have defaults applied.
 func fig4Scenarios(cfg Fig4Config) ([]sweep.Scenario, string, error) {
 	specs := make(map[topo.ISP]sweep.FlowSpec, len(cfg.ISPs))
@@ -200,9 +174,6 @@ func fig4Scenarios(cfg Fig4Config) ([]sweep.Scenario, string, error) {
 }
 
 // fig4Collect folds per-point aggregates into per-topology figure rows.
-// Points the process never ran (another shard's scenarios) are absent from
-// the aggregates, so a sharded run yields a partial — but never wrong —
-// figure.
 func fig4Collect(cfg Fig4Config, aggs []sweep.Aggregate) ([]Fig4TopoResult, error) {
 	byISP := map[topo.ISP]*Fig4TopoResult{}
 	var out []Fig4TopoResult

@@ -24,7 +24,7 @@
 //   - Shard invariance: a Shard deterministically partitions the expanded
 //     grid by a hash of each scenario's identity, so N machines can each
 //     run one slice (Runner.Shard) against standard checkpoints, and
-//     MergeCheckpoints recombines the N files — validating same
+//     MergeCheckpointsInto recombines the N files — validating same
 //     grid/master-seed/config, rejecting overlaps, naming gaps — into
 //     output byte-identical to an unsharded run at any shard count.
 //   - Bounded aggregation: an Accumulator folds results into per-point

@@ -110,11 +110,12 @@ func ExampleCheckpoint() {
 	// 20    inrp    2         25.500 ±0.707
 }
 
-// ExampleMergeCheckpoints shows the distributed lifecycle: two "hosts"
-// each run one Shard of the same grid against a standard checkpoint, and
-// MergeCheckpoints recombines the files — validating that they cover the
-// grid exactly once — into output byte-identical to an unsharded run.
-func ExampleMergeCheckpoints() {
+// ExampleMergeCheckpointsInto shows the distributed lifecycle: two
+// "hosts" each run one Shard of the same grid against a standard
+// checkpoint, and MergeCheckpointsInto streams the files through an
+// accumulator — validating that they cover the grid exactly once — into
+// output byte-identical to an unsharded run.
+func ExampleMergeCheckpointsInto() {
 	dir, _ := os.MkdirTemp("", "sweep-example")
 	defer os.RemoveAll(dir)
 	scenarios := exampleScenarios()
@@ -135,12 +136,17 @@ func ExampleMergeCheckpoints() {
 	}
 
 	// One host gathers the checkpoint files and merges.
-	results, err := sweep.MergeCheckpoints("demo config", scenarios, paths...)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{Mode: sweep.AggExact}, scenarios)
+	if err := sweep.MergeCheckpointsInto(acc, "demo config", scenarios, paths...); err != nil {
+		fmt.Println(err)
+		return
+	}
+	aggs, err := acc.Aggregates()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	sweep.Table("merged sweep", sweep.Aggregated(results), "throughput").Render(os.Stdout)
+	sweep.Table("merged sweep", aggs, "throughput").Render(os.Stdout)
 	// Output:
 	// merged sweep
 	// load  policy  replicas  throughput

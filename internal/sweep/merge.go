@@ -33,65 +33,6 @@ func (e *IncompleteError) Error() string {
 		len(e.Missing), e.Total, strings.Join(names, "; "), more)
 }
 
-// MergeCheckpoints combines N shard checkpoint files into one full
-// result set, in scenario order — the aggregation input of a sweep that
-// was partitioned across machines with Shard. Because every record
-// carries its scenario's identity and metrics, and aggregation is
-// order-independent, the merged output is byte-identical to an
-// unsharded run of the same grid at any shard count.
-//
-// Every file is validated the way LoadCheckpoint validates a resume:
-// records naming a scenario the grid cannot derive (different grid),
-// records disagreeing with a scenario's derived seed (different master
-// seed), and files whose header label differs from the given label
-// (different non-axis configuration) all fail loudly. On top of that,
-// merge-specific checks reject overlapping shard sets (two files
-// recording the same scenario), missing files (unlike a resume, a merge
-// must not silently treat a typo'd path as an empty shard), and
-// incomplete coverage — the returned *IncompleteError names the absent
-// scenarios. A checkpoint that contributes zero scenarios is fine: tiny
-// grids can legitimately leave a shard empty.
-func MergeCheckpoints(label string, scenarios []Scenario, paths ...string) ([]Result, error) {
-	if len(paths) == 0 {
-		return nil, errors.New("sweep: merge needs at least one checkpoint file")
-	}
-	merged := make([]Result, len(scenarios))
-	for i, sc := range scenarios {
-		merged[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrNotRun}
-	}
-	source := make([]string, len(scenarios))
-	for _, path := range paths {
-		if _, err := os.Stat(path); err != nil {
-			return nil, fmt.Errorf("sweep: merge checkpoint: %w", err)
-		}
-		loaded, _, err := LoadCheckpoint(path, label, scenarios)
-		if err != nil {
-			return nil, err
-		}
-		for i := range loaded {
-			if loaded[i].Err != nil {
-				continue
-			}
-			if source[i] != "" {
-				return nil, fmt.Errorf("sweep: checkpoints %s and %s overlap: both record scenario %q",
-					source[i], path, scenarios[i].Name)
-			}
-			source[i] = path
-			merged[i] = loaded[i]
-		}
-	}
-	var missing []string
-	for i := range merged {
-		if merged[i].Err != nil {
-			missing = append(missing, merged[i].Name)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, &IncompleteError{Missing: missing, Total: len(scenarios)}
-	}
-	return merged, nil
-}
-
 // recordRef locates one scenario's checkpoint record for the streaming
 // merge: which file holds it, at which byte offset, and how long the line
 // is. 24 bytes per scenario instead of the record's parsed samples.
@@ -101,23 +42,31 @@ type recordRef struct {
 	n    int
 }
 
-// MergeCheckpointsInto is the streaming MergeCheckpoints: instead of
-// materialising the full []Result (every shard's raw samples at once), it
-// indexes each file's records by byte offset in a validation pass, then
-// re-reads exactly one record at a time in scenario order and folds it into
-// acc. Peak memory is one record plus the accumulator's representation —
-// with a sketch-mode accumulator, a merge of arbitrarily many shard
-// checkpoints aggregates in bounded space. Because records feed acc in
-// scenario order, the folded aggregates equal a single-host run of the same
-// grid: byte-identical in exact mode, identical sketch states in sketch
-// mode (a sketch is a pure function of its Add order, and checkpointed
-// float64s round-trip exactly).
+// MergeCheckpointsInto combines N shard checkpoint files — the output of
+// a sweep partitioned across machines with Shard — into acc, without
+// executing any scenario. It indexes each file's records by byte offset in
+// a validation pass, then re-reads exactly one record at a time in
+// scenario order and folds it into acc, so peak memory is one record plus
+// the accumulator's representation: with a sketch-mode accumulator, a
+// merge of arbitrarily many shard checkpoints aggregates in bounded space.
+// Because records feed acc in scenario order, the folded aggregates equal
+// a single-host run of the same grid at any shard count: byte-identical in
+// exact mode, identical sketch states in sketch mode (a sketch is a pure
+// function of its Add order, and checkpointed float64s round-trip
+// exactly).
 //
-// Validation matches MergeCheckpoints record for record: per-file header
-// label, unknown-scenario and seed-mismatch rejection, torn-line
-// tolerance, first-wins duplicates within a file, overlap rejection across
-// files, missing-file rejection, and *IncompleteError for uncovered
-// scenarios.
+// Every file is validated the way LoadCheckpoint validates a resume: a
+// header label differing from label (different non-axis configuration),
+// records naming a scenario the grid cannot derive (different grid) and
+// records disagreeing with a scenario's derived seed (different master
+// seed) all fail loudly; torn lines are skipped and duplicates within one
+// file resolve first-wins. On top of that, merge-specific checks reject
+// overlapping shard sets (two files recording the same scenario), missing
+// files (unlike a resume, a merge must not silently treat a typo'd path
+// as an empty shard), and incomplete coverage — the returned
+// *IncompleteError names the absent scenarios. A checkpoint that
+// contributes zero scenarios is fine: tiny grids can legitimately leave a
+// shard empty.
 func MergeCheckpointsInto(acc *Accumulator, label string, scenarios []Scenario, paths ...string) error {
 	if len(paths) == 0 {
 		return errors.New("sweep: merge needs at least one checkpoint file")

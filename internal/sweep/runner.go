@@ -33,24 +33,12 @@ type Runner struct {
 	// returns other shards' results carrying ErrOtherShard, Resume never
 	// re-runs them, and Progress counts only this shard's scenarios.
 	Shard Shard
-	// Partition, when non-nil, overrides Shard with an arbitrary
-	// partitioner — e.g. a cost-balanced WeightedShard. All shard
-	// semantics above apply unchanged.
-	Partition Partitioner
 	// Obs, when non-nil, binds sweep-level metrics to the registry:
 	// counters sweep_scenarios_scheduled / _completed / _failed,
 	// sweep_busy_ns (summed scenario wall time) and per-worker
 	// sweep_worker_busy_ns{worker="N"}. A live progress view (rate, ETA)
 	// derives from scheduled vs completed.
 	Obs *obs.Registry
-}
-
-// owns reports whether this runner's partition slice owns the scenario.
-func (r *Runner) owns(sc Scenario) bool {
-	if r.Partition != nil {
-		return r.Partition.Contains(sc)
-	}
-	return r.Shard.Contains(sc)
 }
 
 // Run executes the scenarios and returns one Result per scenario, in
@@ -67,7 +55,7 @@ func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 	results := make([]Result, len(scenarios))
 	indices := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			results[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard}
 			continue
 		}
@@ -89,7 +77,7 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 	ro := &resultObserver{acc: acc}
 	indices := make([]int, 0, len(scenarios))
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
 			continue
 		}
@@ -113,7 +101,7 @@ func (r *Runner) ResumeAccumulate(ctx context.Context, scenarios []Scenario, pri
 	var pending []int
 	for i, res := range prior {
 		sc := scenarios[i]
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
 			continue
 		}
@@ -176,7 +164,7 @@ func (r *Runner) ResumeCheckpointAccumulate(ctx context.Context, path, label str
 	restored := 0
 	var pending, restorable []int
 	for i, sc := range scenarios {
-		if !r.owns(sc) {
+		if !r.Shard.Contains(sc) {
 			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
 			continue
 		}
@@ -291,7 +279,7 @@ func (r *Runner) Resume(ctx context.Context, scenarios []Scenario, results []Res
 	patched := append([]Result(nil), results...)
 	var pending []int
 	for i, res := range patched {
-		if !r.owns(scenarios[i]) {
+		if !r.Shard.Contains(scenarios[i]) {
 			sc := scenarios[i]
 			patched[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard}
 			continue

@@ -19,7 +19,7 @@ var ErrOtherShard = errors.New("sweep: scenario belongs to another shard")
 // Shard selects one slice of a deterministic Count-way partition of an
 // expanded scenario grid, so a sweep can be split across machines: each
 // host runs `Shard{Index: i, Count: n}` of the same grid, writes a
-// standard checkpoint, and MergeCheckpoints combines the N files into
+// standard checkpoint, and MergeCheckpointsInto combines the N files into
 // output byte-identical to an unsharded run.
 //
 // A scenario's shard is a hash of its identity — the parameter point in

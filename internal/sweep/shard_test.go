@@ -173,7 +173,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	const label = "prop config"
 	for trial := 0; trial < 4; trial++ {
 		scenarios := randomGrid(rng)
-		golden := renderAll(t, (&Runner{Workers: 4}).Run(context.Background(), scenarios))
+		golden := renderAggs(t, Aggregated((&Runner{Workers: 4}).Run(context.Background(), scenarios)))
 
 		for count := 1; count <= 5; count++ {
 			dir := t.TempDir()
@@ -187,16 +187,26 @@ func TestShardMergeByteIdentical(t *testing.T) {
 					runShard(t, paths[idx], label, scenarios, shard)
 				}
 			}
-			merged, err := MergeCheckpoints(label, scenarios, paths...)
+			merged, err := mergeExact(label, scenarios, paths...)
 			if err != nil {
 				t.Fatalf("trial=%d count=%d: merge: %v", trial, count, err)
 			}
-			if out := renderAll(t, merged); !bytes.Equal(out, golden) {
+			if out := renderAggs(t, merged); !bytes.Equal(out, golden) {
 				t.Errorf("trial=%d count=%d: merged output differs from unsharded run:\n%s\n--- vs ---\n%s",
 					trial, count, out, golden)
 			}
 		}
 	}
+}
+
+// mergeExact streams the shard checkpoints through an exact-mode
+// accumulator, the way cmd/sweep -merge does.
+func mergeExact(label string, scenarios []Scenario, paths ...string) ([]Aggregate, error) {
+	acc := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+	if err := MergeCheckpointsInto(acc, label, scenarios, paths...); err != nil {
+		return nil, err
+	}
+	return acc.Aggregates()
 }
 
 // runShard executes one shard of the grid as its own process would,
@@ -268,12 +278,12 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	runShard(t, a, label, scenarios, Shard{Index: 0, Count: 2})
 	runShard(t, b, label, scenarios, Shard{Index: 1, Count: 2})
 
-	if _, err := MergeCheckpoints(label, scenarios, a, b); err != nil {
+	if _, err := mergeExact(label, scenarios, a, b); err != nil {
 		t.Fatalf("complete merge failed: %v", err)
 	}
 
 	// Incomplete: one shard's file missing from the set.
-	_, err := MergeCheckpoints(label, scenarios, a)
+	_, err := mergeExact(label, scenarios, a)
 	var inc *IncompleteError
 	if !errors.As(err, &inc) {
 		t.Fatalf("incomplete merge: err = %v, want *IncompleteError", err)
@@ -288,27 +298,27 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	}
 
 	// Overlap: the same scenarios contributed twice.
-	if _, err := MergeCheckpoints(label, scenarios, a, a, b); err == nil ||
+	if _, err := mergeExact(label, scenarios, a, a, b); err == nil ||
 		!strings.Contains(err.Error(), "overlap") {
 		t.Errorf("overlapping merge: err = %v, want overlap", err)
 	}
 
 	// Foreign: a label from a different configuration.
-	if _, err := MergeCheckpoints("other config", scenarios, a, b); err == nil {
+	if _, err := mergeExact("other config", scenarios, a, b); err == nil {
 		t.Error("foreign-config merge should fail")
 	}
 	// Foreign: a different master seed changes every derived scenario seed.
-	if _, err := MergeCheckpoints(label, syntheticScenarios(8, 2), a, b); err == nil ||
+	if _, err := mergeExact(label, syntheticScenarios(8, 2), a, b); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Errorf("foreign-seed merge: err = %v, want seed mismatch", err)
 	}
 
 	// A typo'd path must not read as an empty shard.
-	if _, err := MergeCheckpoints(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
+	if _, err := mergeExact(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
 		t.Error("merge with a missing file should fail")
 	}
 	// No files at all is an error, not an empty result.
-	if _, err := MergeCheckpoints(label, scenarios); err == nil {
+	if _, err := mergeExact(label, scenarios); err == nil {
 		t.Error("merge with no files should fail")
 	}
 }

@@ -115,18 +115,8 @@ type (
 	SweepCheckpoint = sweep.Checkpoint
 	// SweepShard selects one slice of the deterministic partition of an
 	// expanded scenario grid, so a sweep can be split across machines and
-	// recombined with MergeSweepCheckpoints.
+	// recombined with MergeSweepCheckpointsInto.
 	SweepShard = sweep.Shard
-	// SweepWeightedShard is one slice of a cost-balanced (greedy LPT)
-	// partition — balances predicted wall-clock instead of scenario
-	// counts on heterogeneous grids; build with ShardSweepWeighted.
-	SweepWeightedShard = sweep.WeightedShard
-	// SweepCostFunc estimates a scenario's relative execution cost for
-	// weighted sharding.
-	SweepCostFunc = sweep.CostFunc
-	// SweepPartitioner selects the scenarios one process owns; SweepShard
-	// and SweepWeightedShard both implement it.
-	SweepPartitioner = sweep.Partitioner
 	// SweepAccumulator folds results into per-point aggregates as workers
 	// finish, instead of materialising the full result slice first.
 	SweepAccumulator = sweep.Accumulator
@@ -290,31 +280,6 @@ func RunSweepShard(ctx context.Context, workers int, shard SweepShard, scenarios
 	return (&sweep.Runner{Workers: workers, Shard: shard}).Run(ctx, scenarios)
 }
 
-// ShardSweepWeighted builds the deterministic cost-balanced partition of
-// the scenarios (greedy longest-processing-time on the cost estimate)
-// and returns its index-th slice. Weighted shards write the same
-// checkpoints as hash shards and merge identically.
-func ShardSweepWeighted(index, count int, scenarios []SweepScenario, cost SweepCostFunc) (*SweepWeightedShard, error) {
-	return sweep.ShardWeighted(index, count, scenarios, cost)
-}
-
-// RunSweepPartition executes only the scenarios the partition owns —
-// the generalisation of RunSweepShard to any SweepPartitioner, e.g. a
-// SweepWeightedShard.
-func RunSweepPartition(ctx context.Context, workers int, part SweepPartitioner, scenarios []SweepScenario) []SweepResult {
-	return (&sweep.Runner{Workers: workers, Partition: part}).Run(ctx, scenarios)
-}
-
-// MergeSweepCheckpoints combines per-shard checkpoint files into the
-// full result set, in scenario order — validating that every file comes
-// from the same grid, master seed and config label, rejecting
-// overlapping shard sets, and failing with an error naming the missing
-// scenarios when coverage is incomplete. The merged results aggregate to
-// output byte-identical to an unsharded run.
-func MergeSweepCheckpoints(label string, scenarios []SweepScenario, paths ...string) ([]SweepResult, error) {
-	return sweep.MergeCheckpoints(label, scenarios, paths...)
-}
-
 // SweepResultSkipped reports whether a result marks a scenario this
 // process never executed — another shard's scenario or an unrestored
 // checkpoint placeholder — as opposed to one that ran and failed.
@@ -354,10 +319,14 @@ func ResumeAccumulateSweep(ctx context.Context, workers int, scenarios []SweepSc
 	return (&sweep.Runner{Workers: workers}).ResumeAccumulate(ctx, scenarios, prior, acc)
 }
 
-// MergeSweepCheckpointsInto is the streaming MergeSweepCheckpoints: shard
-// checkpoint records are validated, then re-read one at a time in scenario
-// order and folded into acc, so a sketch-mode merge of arbitrarily many
-// shards aggregates in bounded memory.
+// MergeSweepCheckpointsInto combines per-shard checkpoint files into acc
+// without executing any scenario — validating that every file comes from
+// the same grid, master seed and config label, rejecting overlapping
+// shard sets, and failing with an error naming the missing scenarios when
+// coverage is incomplete. Records are re-read one at a time in scenario
+// order, so the aggregates match an unsharded run byte for byte, and a
+// sketch-mode merge of arbitrarily many shards aggregates in bounded
+// memory.
 func MergeSweepCheckpointsInto(acc *SweepAccumulator, label string, scenarios []SweepScenario, paths ...string) error {
 	return sweep.MergeCheckpointsInto(acc, label, scenarios, paths...)
 }
@@ -417,24 +386,12 @@ var (
 	Fig3Fairness = experiments.Fig3
 	// Custody regenerates the §3.3 custody/back-pressure experiment.
 	Custody = experiments.Custody
-	// Fig4Merge combines the shard checkpoints of a distributed Figure 4
-	// run into the full figure without executing any scenario.
-	Fig4Merge = experiments.Fig4Merge
-	// CustodyMerge combines the shard checkpoints of a distributed
-	// custody run into the full result without executing any scenario.
-	CustodyMerge = experiments.CustodyMerge
 	// Disruption runs the link-churn experiment: completion time vs
 	// outage rate per transport on the churned custody chain.
 	Disruption = experiments.Disruption
-	// DisruptionMerge combines the shard checkpoints of a distributed
-	// disruption run into the full result without executing any scenario.
-	DisruptionMerge = experiments.DisruptionMerge
 	// Failover runs the failover-replanning experiment: failure profile ×
 	// correlation × custody × recovery strategy on the custody diamond.
 	Failover = experiments.Failover
-	// FailoverMerge combines the shard checkpoints of a distributed
-	// failover run into the full result without executing any scenario.
-	FailoverMerge = experiments.FailoverMerge
 )
 
 // Link churn process kinds (LinkOutage.Kind).

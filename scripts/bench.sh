@@ -13,6 +13,9 @@
 #   BENCHTIME   go test -benchtime value (default 1x — every benchmark in
 #               the suite is sized to be meaningful in a single iteration)
 #   ALLOW_PCT   smoke-mode allocs/op regression allowance in percent
+#   GOMAXPROCS  Go scheduler parallelism (default 1, the same pin perfbench
+#               uses, so ns/op compares across snapshots and hosts; the
+#               value is recorded in every snapshot's env block)
 #
 # The suite covers the two simulation hot paths (flowsim allocator,
 # chunknet DES) plus the DES kernel (schedule-and-run, nested cascade,
@@ -25,6 +28,8 @@ cd "$(dirname "$0")/.." || exit 1
 MODE="${1:-snapshot}"
 BENCHTIME="${BENCHTIME:-1x}"
 ALLOW_PCT="${ALLOW_PCT:-25}"
+GOMAXPROCS="${GOMAXPROCS:-1}"
+export GOMAXPROCS
 
 # Gated benchmarks: the DES kernel and the allocator/simulator hot paths.
 # A smoke run fails when any of these regresses in allocs/op.
@@ -66,7 +71,7 @@ extract() {
 # produced its numbers.
 env_json() {
     go_version="$(go version 2>/dev/null | awk '{ print $3 }')"
-    maxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || echo 0)}"
+    maxprocs="$GOMAXPROCS"
     cpu="$(awk -F': *' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null)"
     commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
     printf '  "env": {"go":"%s","gomaxprocs":%s,"cpu":"%s","commit":"%s"},\n' \
