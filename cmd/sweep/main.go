@@ -37,15 +37,10 @@
 // disk and executes only the rest, so a killed process (SIGKILL included)
 // finishes with output byte-identical to an uninterrupted run.
 //
-// Results aggregate through a streaming accumulator as workers finish.
-// -agg selects the representation: "exact" pools every raw sample (the
-// byte-identical reference), "sketch" holds bounded quantile sketches —
-// O(sketch) memory per grid point however many replicas and samples pool
-// into it — and "auto" (default) starts exact and cuts over to sketches
-// the moment pooled samples exceed -agg-budget. Table, CSV and JSON
-// output is byte-identical across all three modes (they render streamed
-// mean±std); only explicit percentile queries see the sketch's documented
-// ±ε rank error (-sketch-eps).
+// Results fold into a streaming accumulator as workers finish, so the
+// full result slice is never materialised; the fold is exact, and output
+// is byte-identical to aggregating every result at the end. -resume
+// streams restored records from the checkpoint file into the same fold.
 //
 // A grid can be split across machines: -shard i/n (0-based) runs only the
 // i-th slice of a deterministic n-way partition of the expanded grid,
@@ -146,9 +141,6 @@ func main() {
 	exectrace := flag.String("exectrace", "", "write a runtime execution trace of the sweep to this file")
 	checkpointPath := flag.String("checkpoint", "", "stream completed scenarios to this JSONL file")
 	resume := flag.Bool("resume", false, "restore completed scenarios from -checkpoint, run only the rest")
-	aggStr := flag.String("agg", "auto", "aggregation: exact|sketch|auto (auto stays exact until -agg-budget pooled samples, then cuts over to bounded quantile sketches)")
-	sketchEps := flag.Float64("sketch-eps", 0, "sketch rank-error fraction (0 = default 0.01)")
-	aggBudget := flag.Int64("agg-budget", 0, "auto aggregation: pooled raw-sample budget before the sketch cutover (0 = default 2^20)")
 	shardStr := flag.String("shard", "", "run only shard i/n of the grid (0-based, e.g. 0/3); combine shard checkpoints with -merge")
 	mergeList := flag.String("merge", "", "merge shard checkpoint files (comma-separated JSONL paths) instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -306,18 +298,6 @@ func main() {
 		}
 	}
 
-	aggMode, err := sweep.ParseAggMode(*aggStr)
-	if err != nil {
-		fatal(err)
-	}
-	if *sketchEps < 0 || *sketchEps >= 0.5 {
-		fatal(fmt.Errorf("-sketch-eps %g out of range [0, 0.5): every answer would be vacuous", *sketchEps))
-	}
-	aggConfig := sweep.AccumulatorConfig{Mode: aggMode, Eps: *sketchEps, SampleBudget: *aggBudget}
-	newAccumulator := func() *sweep.Accumulator {
-		return sweep.NewAccumulator(aggConfig, scenarios)
-	}
-
 	// Service modes hand off to internal/sweepd and exit: the coordinator
 	// owns the checkpoint (always resuming), the workers own nothing.
 	switch *mode {
@@ -332,8 +312,6 @@ func main() {
 			leaseTTL:       *leaseTTL,
 			label:          label,
 			scenarios:      scenarios,
-			agg:            aggConfig,
-			newAccumulator: newAccumulator,
 			format:         *format,
 			metricsList:    *metricsList,
 			tableTitle:     title(scenarios, *replicas, *seed, sweep.Shard{}),
@@ -369,7 +347,7 @@ func main() {
 		if *shardStr != "" || *checkpointPath != "" || *resume {
 			fatal(fmt.Errorf("-merge cannot be combined with -shard, -checkpoint or -resume"))
 		}
-		acc := newAccumulator()
+		acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 		if err := sweep.MergeCheckpointsInto(acc, label, scenarios, split(*mergeList)...); err != nil {
 			fatal(err)
 		}
@@ -407,8 +385,11 @@ func main() {
 	// failed ones come back as a slice, for reporting. A resume streams
 	// restored records from the checkpoint file as the accumulator
 	// reaches them, never materialising them all at once.
-	acc := newAccumulator()
-	var failed []sweep.Result
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
+	var (
+		failed []sweep.Result
+		err    error
+	)
 	if *resume {
 		_, failed, err = runner.ResumeCheckpointAccumulate(context.Background(), *checkpointPath, label, scenarios, acc,
 			func(restored int) {

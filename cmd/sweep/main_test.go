@@ -182,41 +182,6 @@ func TestFlowSweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestSweepAggModes is the end-to-end aggregation-mode guarantee: table,
-// CSV and JSON output is byte-identical between -agg exact, -agg sketch
-// and an -agg auto run forced over its sample budget — the rendered
-// mean±std come from streamed summaries that fold identically in every
-// representation.
-func TestSweepAggModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process sweep run")
-	}
-	bin := buildSweep(t)
-	for _, format := range []string{"table", "csv", "json"} {
-		args := []string{
-			"-isps", "VSNL (IN)",
-			"-policies", "sp,inrp",
-			"-flows", "30",
-			"-capacity", "100Mbps", "-demand", "50Mbps", "-size", "20MB",
-			"-horizon", "2s",
-			"-replicas", "2",
-			"-seed", "1",
-			"-workers", "2",
-			"-format", format,
-			"-q",
-		}
-		exact, _ := runSweep(t, bin, append(args, "-agg", "exact")...)
-		sketch, _ := runSweep(t, bin, append(args, "-agg", "sketch")...)
-		cutover, _ := runSweep(t, bin, append(args, "-agg", "auto", "-agg-budget", "1")...)
-		if sketch != exact {
-			t.Errorf("%s: -agg sketch differs from -agg exact:\n%s\n--- vs ---\n%s", format, sketch, exact)
-		}
-		if cutover != exact {
-			t.Errorf("%s: -agg auto past its budget differs from -agg exact:\n%s\n--- vs ---\n%s", format, cutover, exact)
-		}
-	}
-}
-
 // shardGridArgs is a chunk grid for the distributed e2e: 8 scenarios of
 // ~0.4s each, so a SIGKILL lands mid-shard with -workers 1 but the whole
 // test stays in seconds.
@@ -317,7 +282,7 @@ func TestSweepShardMerge(t *testing.T) {
 // non-positive flow count, a negative count or window, an empty axis —
 // must stop the sweep at flag parse with an error naming its flag, never
 // reach the simulators (where -flows 0 panicked every scenario) or exit 0
-// with an empty or all-zero table.
+// with an empty or all-zero table. A removed flag fails the same way.
 func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
@@ -339,6 +304,7 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		{"-transports", append(chunk, "-transports", "")},
 		{"-custody", append(chunk, "-custody", "")},
 		{"-outage-up", append(chunk, "-outage-kind", "exp", "-outage-up", "")},
+		{"-agg", append(flow, "-agg", "exact")}, // removed: the fold is always exact
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil {

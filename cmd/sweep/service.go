@@ -23,8 +23,6 @@ type serveArgs struct {
 	leaseTTL       time.Duration
 	label          string
 	scenarios      []sweep.Scenario
-	agg            sweep.AccumulatorConfig
-	newAccumulator func() *sweep.Accumulator
 	format         string
 	metricsList    string
 	tableTitle     string
@@ -51,7 +49,6 @@ func runServe(a serveArgs) {
 		CheckpointPath: a.checkpointPath,
 		Batch:          a.batch,
 		LeaseTTL:       a.leaseTTL,
-		Agg:            a.agg,
 		Obs:            a.reg,
 		Log:            logw,
 	})
@@ -73,7 +70,7 @@ func runServe(a serveArgs) {
 	if err := coord.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: checkpoint: %v\n", err)
 	}
-	acc := a.newAccumulator()
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, a.scenarios)
 	if err := coord.FoldInto(acc); err != nil {
 		fatal(err)
 	}

@@ -11,15 +11,14 @@ import (
 // runExperiment executes one experiment grid the way cmd/sweep runs its
 // grids: an optional checkpoint file both restores previously completed
 // scenarios and streams new completions to disk. Results fold into a
-// streaming exact-mode Accumulator as workers finish (the experiments keep
-// raw stretch samples for their CDF reports, so the sketch representation
-// stays a cmd/sweep concern), and the per-point aggregates come back with
-// any failed results for the caller to report. It is the shared engine
+// streaming Accumulator as workers finish, which keeps the raw stretch
+// samples the CDF reports need, and the per-point aggregates come back
+// with any failed results for the caller to report. It is the shared engine
 // behind every multi-scenario experiment, so each carries the same
 // guarantees as a CLI sweep: byte-identical aggregate output at any worker
 // count and across kill/resume.
 func runExperiment(workers int, reg *obs.Registry, checkpoint, label string, scenarios []sweep.Scenario) ([]sweep.Aggregate, []sweep.Result, error) {
-	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{Mode: sweep.AggExact}, scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	runner := &sweep.Runner{Workers: workers, Obs: reg}
 	var (
 		failed []sweep.Result

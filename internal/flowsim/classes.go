@@ -97,7 +97,7 @@ func (r *runner) growClassScratch() {
 // at the same per-flow rate, an arc carrying total weight w drains
 // capacity at w× that rate, and a saturating arc (or a binding demand
 // cap) freezes the classes it constrains. It mirrors progressiveFill —
-// the retained per-flow reference in maxmin.go — operation for
+// the retained per-flow test reference in maxmin_test.go — operation for
 // operation: per-arc weights are integer sums (exact in float64), loads
 // advance by the identical delta×weight products, and the freeze
 // thresholds are the same saturationEps comparisons, so the
@@ -251,4 +251,15 @@ func (r *runner) classFill(capacity []float64) []float64 {
 	}
 	r.activeArcs = active[:0]
 	return rates
+}
+
+// saturationEps is the absolute slack below which an arc counts as
+// saturated — or a demand cap as reached — scaled to the capacity (or
+// cap) to stay robust across Mbps and Tbps.
+func saturationEps(capacity float64) float64 {
+	eps := capacity * 1e-9
+	if eps < 1e-6 {
+		eps = 1e-6
+	}
+	return eps
 }

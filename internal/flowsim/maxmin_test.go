@@ -115,14 +115,3 @@ func progressiveFill(paths [][]int32, capacity []float64, caps []float64) []floa
 	}
 	return rates
 }
-
-// saturationEps is the absolute slack below which an arc counts as
-// saturated — or a demand cap as reached — scaled to the capacity (or
-// cap) to stay robust across Mbps and Tbps.
-func saturationEps(capacity float64) float64 {
-	eps := capacity * 1e-9
-	if eps < 1e-6 {
-		eps = 1e-6
-	}
-	return eps
-}

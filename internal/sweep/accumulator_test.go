@@ -5,10 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -53,14 +51,10 @@ func randomAggGrid(rng *rand.Rand, withFailures bool) []Scenario {
 	})
 }
 
-// sampleSetNames returns an aggregate's sample-set names, sorted, from
-// whichever representation it carries.
+// sampleSetNames returns an aggregate's sample-set names, sorted.
 func sampleSetNames(a Aggregate) []string {
 	var names []string
 	for name := range a.Samples {
-		names = append(names, name)
-	}
-	for name := range a.Sketches {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -93,9 +87,9 @@ func renderAggs(t *testing.T, aggs []Aggregate) []byte {
 
 // accumulate runs the scenarios through a fresh accumulator at the given
 // worker count and returns its aggregates.
-func accumulate(t *testing.T, cfg AccumulatorConfig, scenarios []Scenario, workers int) []Aggregate {
+func accumulate(t *testing.T, scenarios []Scenario, workers int) []Aggregate {
 	t.Helper()
-	acc := NewAccumulator(cfg, scenarios)
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 	if _, err := (&Runner{Workers: workers}).Accumulate(context.Background(), scenarios, acc); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +101,8 @@ func accumulate(t *testing.T, cfg AccumulatorConfig, scenarios []Scenario, worke
 }
 
 // TestAccumulatorExactMatchesAggregated is the core property: for random
-// grids, seeds and worker counts, the streaming exact-mode accumulator's
-// output is byte-identical to the batch Run+Aggregated path.
+// grids, seeds and worker counts, the streaming accumulator's output is
+// byte-identical to the batch Run+Aggregated path.
 func TestAccumulatorExactMatchesAggregated(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 12; trial++ {
@@ -116,152 +110,52 @@ func TestAccumulatorExactMatchesAggregated(t *testing.T) {
 		results := (&Runner{Workers: 4}).Run(context.Background(), scenarios)
 		golden := renderAggs(t, Aggregated(results))
 		for _, workers := range []int{1, 3, 8} {
-			aggs := accumulate(t, AccumulatorConfig{Mode: AggExact}, scenarios, workers)
+			aggs := accumulate(t, scenarios, workers)
 			if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
-				t.Fatalf("trial %d workers=%d: streaming exact output differs from batch:\n%s\n--- vs ---\n%s",
+				t.Fatalf("trial %d workers=%d: streaming output differs from batch:\n%s\n--- vs ---\n%s",
 					trial, workers, got, golden)
 			}
 		}
 	}
 }
 
-// TestAccumulatorSketchWithinBound: sketch-mode percentiles stay within the
-// sketch's documented rank-error bound of the exact percentiles, and the
-// Table/CSV/JSON bytes (streamed mean±std) stay identical to exact mode.
-func TestAccumulatorSketchWithinBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const eps = 0.02
-	for trial := 0; trial < 8; trial++ {
-		scenarios := randomAggGrid(rng, false)
-		exact := accumulate(t, AccumulatorConfig{Mode: AggExact}, scenarios, 4)
-		sketch := accumulate(t, AccumulatorConfig{Mode: AggSketch, Eps: eps}, scenarios, 4)
-		if len(exact) != len(sketch) {
-			t.Fatalf("trial %d: %d exact vs %d sketch aggregates", trial, len(exact), len(sketch))
-		}
-
-		// Table/CSV/JSON never look at samples — they must be bitwise
-		// unaffected by the representation.
-		var eBuf, sBuf bytes.Buffer
-		if err := Table("t", exact).Render(&eBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := CSV(&eBuf, exact); err != nil {
-			t.Fatal(err)
-		}
-		if err := JSON(&eBuf, exact); err != nil {
-			t.Fatal(err)
-		}
-		if err := Table("t", sketch).Render(&sBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := CSV(&sBuf, sketch); err != nil {
-			t.Fatal(err)
-		}
-		if err := JSON(&sBuf, sketch); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(eBuf.Bytes(), sBuf.Bytes()) {
-			t.Fatalf("trial %d: table/CSV/JSON differ between exact and sketch mode:\n%s\n--- vs ---\n%s",
-				trial, eBuf.Bytes(), sBuf.Bytes())
-		}
-
-		for i := range exact {
-			checkAggSketchBound(t, trial, &exact[i], &sketch[i], eps)
-		}
-	}
-}
-
-// checkAggSketchBound asserts each sketch percentile lies within ±⌈εN⌉
-// ranks of the exact pooled distribution.
-func checkAggSketchBound(t *testing.T, trial int, exact, sketch *Aggregate, eps float64) {
-	t.Helper()
-	for name, xs := range exact.Samples {
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		n := len(sorted)
-		margin := int(math.Ceil(eps * float64(n)))
-		for _, p := range []float64{10, 50, 90, 99} {
-			got := sketch.Percentile(name, p)
-			rank := int(math.Ceil(p / 100 * float64(n)))
-			if rank < 1 {
-				rank = 1
-			}
-			lo, hi := rank-1-margin, rank-1+margin
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= n {
-				hi = n - 1
-			}
-			if got < sorted[lo] || got > sorted[hi] {
-				t.Errorf("trial %d %s %s: sketch p%g = %g outside exact rank bound [%g, %g] (n=%d margin=%d)",
-					trial, exact.Point.Key(), name, p, got, sorted[lo], sorted[hi], n, margin)
-			}
-		}
-	}
-}
-
-// TestAccumulatorAutoCutover: an auto accumulator is bit-identical to a
-// pure sketch accumulator once its budget is crossed, and bit-identical to
-// a pure exact accumulator while it is not — the cutover replays history.
-func TestAccumulatorAutoCutover(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 6; trial++ {
-		scenarios := randomAggGrid(rng, false)
-		exact := accumulate(t, AccumulatorConfig{Mode: AggExact}, scenarios, 4)
-		sketch := accumulate(t, AccumulatorConfig{Mode: AggSketch}, scenarios, 4)
-		autoSmall := accumulate(t, AccumulatorConfig{Mode: AggAuto, SampleBudget: 10}, scenarios, 4)
-		autoHuge := accumulate(t, AccumulatorConfig{Mode: AggAuto, SampleBudget: 1 << 40}, scenarios, 4)
-		if !reflect.DeepEqual(autoSmall, sketch) {
-			t.Errorf("trial %d: auto(budget=10) aggregates differ from pure sketch mode", trial)
-		}
-		if !reflect.DeepEqual(autoHuge, exact) {
-			t.Errorf("trial %d: auto(huge budget) aggregates differ from pure exact mode", trial)
-		}
-	}
-}
-
 // TestAccumulatorShardMergeEqualsSingleHost: shards each write a standard
-// checkpoint; merging them through a sketch-mode accumulator yields sketch
-// states — and therefore every rendered byte and percentile answer —
-// identical to a single host accumulating the whole grid live. The exact
-// mode equality rides along.
+// checkpoint; merging them yields every rendered byte and percentile
+// answer identical to a single host accumulating the whole grid live.
 func TestAccumulatorShardMergeEqualsSingleHost(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	dir := t.TempDir()
 	for trial := 0; trial < 4; trial++ {
 		scenarios := randomAggGrid(rng, false)
-		for _, mode := range []AggMode{AggExact, AggSketch} {
-			golden := renderAggs(t, accumulate(t, AccumulatorConfig{Mode: mode}, scenarios, 4))
-			for shards := 2; shards <= 4; shards++ {
-				paths := make([]string, shards)
-				for i := range paths {
-					paths[i] = filepath.Join(dir, fmt.Sprintf("t%d-%s-%d-of-%d.jsonl", trial, mode, i, shards))
-					cp, err := NewCheckpoint(paths[i], "prop")
-					if err != nil {
-						t.Fatal(err)
-					}
-					runner := &Runner{Workers: 3, Shard: Shard{Index: i, Count: shards}, Progress: cp.Progress(nil)}
-					acc := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-					if _, err := runner.Accumulate(context.Background(), scenarios, acc); err != nil {
-						t.Fatal(err)
-					}
-					if err := cp.Close(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				merged := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-				if err := MergeCheckpointsInto(merged, "prop", scenarios, paths...); err != nil {
-					t.Fatalf("trial %d mode=%s shards=%d: %v", trial, mode, shards, err)
-				}
-				aggs, err := merged.Aggregates()
+		golden := renderAggs(t, accumulate(t, scenarios, 4))
+		for shards := 2; shards <= 4; shards++ {
+			paths := make([]string, shards)
+			for i := range paths {
+				paths[i] = filepath.Join(dir, fmt.Sprintf("t%d-%d-of-%d.jsonl", trial, i, shards))
+				cp, err := NewCheckpoint(paths[i], "prop")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
-					t.Fatalf("trial %d mode=%s shards=%d: merged output differs from single host:\n%s\n--- vs ---\n%s",
-						trial, mode, shards, got, golden)
+				runner := &Runner{Workers: 3, Shard: Shard{Index: i, Count: shards}, Progress: cp.Progress(nil)}
+				acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+				if _, err := runner.Accumulate(context.Background(), scenarios, acc); err != nil {
+					t.Fatal(err)
 				}
+				if err := cp.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged := NewAccumulator(AccumulatorConfig{}, scenarios)
+			if err := MergeCheckpointsInto(merged, "prop", scenarios, paths...); err != nil {
+				t.Fatalf("trial %d shards=%d: %v", trial, shards, err)
+			}
+			aggs, err := merged.Aggregates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
+				t.Fatalf("trial %d shards=%d: merged output differs from single host:\n%s\n--- vs ---\n%s",
+					trial, shards, got, golden)
 			}
 		}
 	}
@@ -269,58 +163,52 @@ func TestAccumulatorShardMergeEqualsSingleHost(t *testing.T) {
 
 // TestAccumulatorResumeMatchesUninterrupted: cancel an accumulating run
 // mid-sweep, resume from the checkpoint, and the final aggregates match an
-// uninterrupted streaming run byte for byte (both modes).
+// uninterrupted streaming run byte for byte.
 func TestAccumulatorResumeMatchesUninterrupted(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	dir := t.TempDir()
-	for _, mode := range []AggMode{AggExact, AggSketch} {
-		scenarios := randomAggGrid(rng, false)
-		golden := renderAggs(t, accumulate(t, AccumulatorConfig{Mode: mode}, scenarios, 4))
+	scenarios := randomAggGrid(rand.New(rand.NewSource(5)), false)
+	golden := renderAggs(t, accumulate(t, scenarios, 4))
 
-		path := filepath.Join(dir, fmt.Sprintf("resume-%s.jsonl", mode))
-		cp, err := NewCheckpoint(path, "prop")
-		if err != nil {
-			t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "resume.jsonl")
+	cp, err := NewCheckpoint(path, "prop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runner := &Runner{Workers: 2, Progress: cp.Progress(func(done, total int, r Result) {
+		if done == len(scenarios)/2 {
+			cancel()
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		runner := &Runner{Workers: 2, Progress: cp.Progress(func(done, total int, r Result) {
-			if done == len(scenarios)/2 {
-				cancel()
-			}
-		})}
-		interrupted := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-		failed, err := runner.Accumulate(ctx, scenarios, interrupted)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if len(failed) == 0 {
-			t.Fatal("cancel interrupted nothing; cannot exercise resume")
-		}
+	})}
+	interrupted := NewAccumulator(AccumulatorConfig{}, scenarios)
+	failed, err := runner.Accumulate(ctx, scenarios, interrupted)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) == 0 {
+		t.Fatal("cancel interrupted nothing; cannot exercise resume")
+	}
 
-		prior, _, err := LoadCheckpoint(path, "prop", scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-		failed, err = (&Runner{Workers: 4}).ResumeAccumulate(context.Background(), scenarios, prior, acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(failed) != 0 {
-			t.Fatalf("resume left failures: %v", failed)
-		}
-		aggs, err := acc.Aggregates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
-			t.Fatalf("mode=%s: resumed streaming output differs from uninterrupted:\n%s\n--- vs ---\n%s",
-				mode, got, golden)
-		}
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+	restored, failed, err := (&Runner{Workers: 4}).ResumeCheckpointAccumulate(context.Background(), path, "prop", scenarios, acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 0 {
+		t.Fatalf("resume left failures: %v", failed)
+	}
+	if restored == 0 || restored == len(scenarios) {
+		t.Fatalf("restored %d of %d scenarios; want a partial checkpoint", restored, len(scenarios))
+	}
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
+		t.Fatalf("resumed streaming output differs from uninterrupted:\n%s\n--- vs ---\n%s", got, golden)
 	}
 }
 
@@ -330,71 +218,67 @@ func TestAccumulatorResumeMatchesUninterrupted(t *testing.T) {
 // worst case: a checkpoint missing only scenario 0, behind which every
 // restored record would otherwise queue.
 func TestResumeCheckpointAccumulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	dir := t.TempDir()
-	for _, mode := range []AggMode{AggExact, AggSketch} {
-		scenarios := randomAggGrid(rng, false)
-		results := (&Runner{Workers: 4}).Run(context.Background(), scenarios)
-		golden := renderAggs(t, accumulate(t, AccumulatorConfig{Mode: mode}, scenarios, 4))
+	scenarios := randomAggGrid(rand.New(rand.NewSource(8)), false)
+	results := (&Runner{Workers: 4}).Run(context.Background(), scenarios)
+	golden := renderAggs(t, accumulate(t, scenarios, 4))
 
-		// Checkpoint every scenario except the first: the fold cursor
-		// cannot advance until the live re-run of scenario 0 completes.
-		path := filepath.Join(dir, fmt.Sprintf("gap0-%s.jsonl", mode))
-		cp, err := NewCheckpoint(path, "prop")
-		if err != nil {
+	// Checkpoint every scenario except the first: the fold cursor
+	// cannot advance until the live re-run of scenario 0 completes.
+	path := filepath.Join(dir, "gap0.jsonl")
+	cp, err := NewCheckpoint(path, "prop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results[1:] {
+		if err := cp.Record(res); err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range results[1:] {
-			if err := cp.Record(res); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cp.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		acc := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-		early := -1
-		restored, failed, err := (&Runner{Workers: 3}).ResumeCheckpointAccumulate(
-			context.Background(), path, "prop", scenarios, acc, func(n int) { early = n })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if early != restored {
-			t.Errorf("mode=%s: onRestored reported %d, return value %d", mode, early, restored)
-		}
-		if len(failed) != 0 {
-			t.Fatalf("mode=%s: streaming resume failures: %v", mode, failed)
-		}
-		if restored != len(scenarios)-1 {
-			t.Errorf("mode=%s: restored = %d, want %d", mode, restored, len(scenarios)-1)
-		}
-		if acc.Pending() != 0 {
-			t.Errorf("mode=%s: %d results left parked after resume", mode, acc.Pending())
-		}
-		aggs, err := acc.Aggregates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
-			t.Fatalf("mode=%s: streaming resume differs from uninterrupted:\n%s\n--- vs ---\n%s",
-				mode, got, golden)
-		}
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+	early := -1
+	restored, failed, err := (&Runner{Workers: 3}).ResumeCheckpointAccumulate(
+		context.Background(), path, "prop", scenarios, acc, func(n int) { early = n })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if early != restored {
+		t.Errorf("onRestored reported %d, return value %d", early, restored)
+	}
+	if len(failed) != 0 {
+		t.Fatalf("streaming resume failures: %v", failed)
+	}
+	if restored != len(scenarios)-1 {
+		t.Errorf("restored = %d, want %d", restored, len(scenarios)-1)
+	}
+	if acc.Pending() != 0 {
+		t.Errorf("%d results left parked after resume", acc.Pending())
+	}
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
+		t.Fatalf("streaming resume differs from uninterrupted:\n%s\n--- vs ---\n%s", got, golden)
+	}
 
-		// A missing checkpoint file is a fresh run, not an error.
-		fresh := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-		restored, failed, err = (&Runner{Workers: 3}).ResumeCheckpointAccumulate(
-			context.Background(), filepath.Join(dir, "nope.jsonl"), "prop", scenarios, fresh, nil)
-		if err != nil || restored != 0 || len(failed) != 0 {
-			t.Fatalf("missing file: restored=%d failed=%v err=%v", restored, failed, err)
-		}
-		aggs, err = fresh.Aggregates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
-			t.Errorf("mode=%s: fresh-run resume differs from uninterrupted", mode)
-		}
+	// A missing checkpoint file is a fresh run, not an error.
+	fresh := NewAccumulator(AccumulatorConfig{}, scenarios)
+	restored, failed, err = (&Runner{Workers: 3}).ResumeCheckpointAccumulate(
+		context.Background(), filepath.Join(dir, "nope.jsonl"), "prop", scenarios, fresh, nil)
+	if err != nil || restored != 0 || len(failed) != 0 {
+		t.Fatalf("missing file: restored=%d failed=%v err=%v", restored, failed, err)
+	}
+	aggs, err = fresh.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAggs(t, aggs); !bytes.Equal(got, golden) {
+		t.Error("fresh-run resume differs from uninterrupted")
 	}
 }
 
@@ -419,12 +303,4 @@ func TestAccumulatorRejectsBadObservations(t *testing.T) {
 	if _, err := acc.Aggregates(); err == nil {
 		t.Error("Aggregates with unobserved scenarios should fail")
 	}
-	// A vacuous sketch eps must fail at construction, not at the first
-	// sketch allocation (which AggAuto defers until its budget cutover).
-	defer func() {
-		if recover() == nil {
-			t.Error("NewAccumulator with eps ≥ 0.5 should panic")
-		}
-	}()
-	NewAccumulator(AccumulatorConfig{Mode: AggAuto, Eps: 0.7}, scenarios)
 }

@@ -13,16 +13,6 @@ import (
 // Aggregate summarises all replicas of one grid point. Replica values and
 // samples are accumulated in scenario order, so aggregation over the same
 // result set is deterministic no matter how many workers produced it.
-//
-// Two representations exist. Exact aggregates (built by Aggregated, or by an
-// Accumulator in AggExact mode) keep every raw value in Series/Samples.
-// Sketch aggregates (an Accumulator in AggSketch mode, or AggAuto past its
-// sample budget) hold only streaming Summaries and bounded quantile sketches
-// in Stats/Sketches/SeriesSketches — O(sketch size) per point regardless of
-// replica or sample count. Summary (and therefore Table/CSV/JSON rendering)
-// is bit-identical between the two, because the streaming Summaries fold the
-// same values in the same order the exact path replays them; only Percentile
-// answers differ, within the sketch's documented rank-error bound.
 type Aggregate struct {
 	// Point is the grid cell being summarised.
 	Point Point
@@ -31,22 +21,11 @@ type Aggregate struct {
 	// Failed counts results excluded because they carried an error.
 	Failed int
 	// Series maps metric name → one value per successful replica, in
-	// scenario order (exact representation only).
+	// scenario order.
 	Series map[string][]float64
 	// Samples maps sample-set name → values pooled across replicas, in
-	// scenario order (exact representation only).
+	// scenario order.
 	Samples map[string][]float64
-	// Stats maps metric name → streamed replica summary (sketch
-	// representation only). Values fold in scenario order, so Summary
-	// returns bits identical to the exact path's.
-	Stats map[string]stats.Summary
-	// Sketches maps sample-set name → bounded quantile sketch (sketch
-	// representation only).
-	Sketches map[string]*stats.GKSketch
-	// SeriesSketches maps metric name → quantile sketch over the replica
-	// series (sketch representation only), serving Percentile's
-	// series fallback without retaining per-replica values.
-	SeriesSketches map[string]*stats.GKSketch
 }
 
 // Aggregated groups results by point (in first-appearance order) and folds
@@ -54,47 +33,60 @@ type Aggregate struct {
 // increment Failed. Results the process never executed — another shard's
 // scenarios, or unrestored checkpoint placeholders (see Skipped) — are
 // excluded entirely, so a sharded run aggregates exactly what it ran.
+// It stays beside the streaming Accumulator because sweepd's live
+// /aggregate view summarises a partial result set, and the accumulator
+// tests use it as their reference.
 func Aggregated(results []Result) []Aggregate {
-	index := map[string]int{}
-	var out []Aggregate
-	for _, r := range results {
-		if Skipped(r) {
-			continue
-		}
-		key := r.Point.Key()
-		i, ok := index[key]
-		if !ok {
-			i = len(out)
-			index[key] = i
-			out = append(out, Aggregate{
-				Point:   r.Point,
-				Series:  map[string][]float64{},
-				Samples: map[string][]float64{},
-			})
-		}
-		a := &out[i]
-		if r.Err != nil {
-			a.Failed++
-			continue
-		}
-		a.Replicas++
-		for name, v := range r.Metrics.Values {
-			a.Series[name] = append(a.Series[name], v)
-		}
-		for name, xs := range r.Metrics.Samples {
-			a.Samples[name] = append(a.Samples[name], xs...)
-		}
+	var f pointFold
+	for i := range results {
+		f.add(&results[i])
 	}
-	return out
+	return f.aggs
 }
 
-// Summary returns the replica summary (mean/std/min/max) for a metric. Both
-// representations answer identically: the sketch path's streamed Summary
-// folded the same values in the same (scenario) order this loop replays.
-func (a *Aggregate) Summary(metric string) stats.Summary {
-	if s, ok := a.Stats[metric]; ok {
-		return s
+// pointFold groups results by point in first-appearance order: the one
+// fold behind both Aggregated and the Accumulator.
+type pointFold struct {
+	index map[string]int // point key → aggs index
+	aggs  []Aggregate
+}
+
+// add folds one result into its point's aggregate: skipped results vanish,
+// errors count as Failed, successes append their metrics.
+func (f *pointFold) add(r *Result) {
+	if Skipped(*r) {
+		return
 	}
+	key := r.Point.Key()
+	i, ok := f.index[key]
+	if !ok {
+		if f.index == nil {
+			f.index = map[string]int{}
+		}
+		i = len(f.aggs)
+		f.index[key] = i
+		f.aggs = append(f.aggs, Aggregate{
+			Point:   r.Point,
+			Series:  map[string][]float64{},
+			Samples: map[string][]float64{},
+		})
+	}
+	a := &f.aggs[i]
+	if r.Err != nil {
+		a.Failed++
+		return
+	}
+	a.Replicas++
+	for name, v := range r.Metrics.Values {
+		a.Series[name] = append(a.Series[name], v)
+	}
+	for name, xs := range r.Metrics.Samples {
+		a.Samples[name] = append(a.Samples[name], xs...)
+	}
+}
+
+// Summary returns the replica summary (mean/std/min/max) for a metric.
+func (a *Aggregate) Summary(metric string) stats.Summary {
 	var s stats.Summary
 	for _, v := range a.Series[metric] {
 		s.Add(v)
@@ -107,33 +99,12 @@ func (a *Aggregate) Mean(metric string) float64 { return a.Summary(metric).Mean(
 
 // Percentile returns the p-th percentile (p in [0,100]) over a pooled
 // sample set, falling back to the per-replica series when no sample set of
-// that name exists. Exact aggregates interpolate over the raw values; sketch
-// aggregates answer from the bounded sketch, within its documented
-// rank-error bound.
+// that name exists.
 func (a *Aggregate) Percentile(name string, p float64) float64 {
 	if xs, ok := a.Samples[name]; ok {
 		return stats.Percentile(xs, p)
 	}
-	if sk, ok := a.Sketches[name]; ok {
-		return sk.Percentile(p)
-	}
-	if sk, ok := a.SeriesSketches[name]; ok {
-		return sk.Percentile(p)
-	}
 	return stats.Percentile(a.Series[name], p)
-}
-
-// metricNames returns this aggregate's scalar metric names, from whichever
-// representation it carries.
-func (a *Aggregate) metricNames() map[string]bool {
-	seen := map[string]bool{}
-	for name := range a.Series {
-		seen[name] = true
-	}
-	for name := range a.Stats {
-		seen[name] = true
-	}
-	return seen
 }
 
 // MetricNames returns the union of scalar metric names across aggregates,
@@ -141,7 +112,7 @@ func (a *Aggregate) metricNames() map[string]bool {
 func MetricNames(aggs []Aggregate) []string {
 	seen := map[string]bool{}
 	for _, a := range aggs {
-		for name := range a.metricNames() {
+		for name := range a.Series {
 			seen[name] = true
 		}
 	}
@@ -256,7 +227,7 @@ func JSON(w io.Writer, aggs []Aggregate) error {
 		for _, kv := range a.Point {
 			j.Point[kv.Key] = kv.Value
 		}
-		for name := range a.metricNames() {
+		for name := range a.Series {
 			s := a.Summary(name)
 			j.Mean[name] = s.Mean()
 			j.Std[name] = s.Std()

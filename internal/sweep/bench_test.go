@@ -78,43 +78,24 @@ func BenchmarkAggregate(b *testing.B) {
 }
 
 // BenchmarkAccumulator folds the same 10⁵-sample grid through the
-// streaming accumulator in exact and sketch mode. Compare B/op: exact
-// mirrors the batch path (it must keep every sample to stay
-// byte-identical); sketch mode holds bounded per-point state however many
-// samples stream through.
+// streaming accumulator. It keeps every sample, as the batch path does,
+// so compare its cost with BenchmarkAggregate: streaming adds the
+// reordering cursor, not memory.
 func BenchmarkAccumulator(b *testing.B) {
 	scenarios, results := benchAggInput(10, 10, 1000)
-	for _, mode := range []AggMode{AggExact, AggSketch} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				acc := NewAccumulator(AccumulatorConfig{Mode: mode}, scenarios)
-				for _, r := range results {
-					if err := acc.Observe(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-				aggs, err := acc.Aggregates()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == AggSketch {
-					// The bounded-memory claim, enforced: every per-point
-					// sketch stays orders of magnitude below its sample
-					// count.
-					for _, a := range aggs {
-						for name, sk := range a.Sketches {
-							if sk.Size() > 2000 {
-								b.Fatalf("%s %s: sketch holds %d tuples for %d samples",
-									a.Point.Key(), name, sk.Size(), sk.N())
-							}
-						}
-					}
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+		for _, r := range results {
+			if err := acc.Observe(r); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(results)), "results")
-		})
+		}
+		if _, err := acc.Aggregates(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(results)), "results")
 }
 
 // BenchmarkSweepWorkers times the same 32-scenario sweep at 1 worker and at

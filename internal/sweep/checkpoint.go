@@ -13,7 +13,7 @@ import (
 
 // ErrNotRun marks a scenario with no checkpointed result yet. Results
 // returned by LoadCheckpoint carry it for every scenario absent from the
-// file, so Runner.Resume executes exactly those.
+// file, so the caller queues exactly those.
 var ErrNotRun = errors.New("sweep: scenario not yet run")
 
 // maxCheckpointLine bounds one checkpoint record's line length (64 MiB ≈
@@ -219,8 +219,10 @@ func (c *Checkpoint) Close() error {
 // LoadCheckpoint reads a checkpoint file and aligns its records to the
 // given scenario list, returning one Result per scenario in scenario
 // order: checkpointed scenarios carry their persisted metrics, the rest
-// carry ErrNotRun — exactly the shape Runner.Resume patches. The second
-// return is the number of scenarios restored.
+// carry ErrNotRun. The second return is the number of scenarios restored.
+// It stays beside the streaming ResumeCheckpointAccumulate because the
+// sweepd coordinator restores a checkpoint into memory with it: it must
+// hold every result to serve leases and its live views.
 //
 // The file may be from a process killed mid-write (a torn final line is
 // skipped) and may hold records in any completion order. Three checks

@@ -85,7 +85,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		// bytes. It may reject the file — an incomplete shard set is the
 		// normal outcome here — but must never panic and, when it
 		// succeeds, must have folded every scenario.
-		acc := NewAccumulator(AccumulatorConfig{Mode: AggSketch}, scenarios)
+		acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 		if merr := MergeCheckpointsInto(acc, fuzzLabel, scenarios, path); merr == nil {
 			if _, aerr := acc.Aggregates(); aerr != nil {
 				t.Fatalf("merge succeeded but aggregates incomplete: %v", aerr)

@@ -10,14 +10,34 @@ import (
 	"testing"
 )
 
+// resumeRender resumes scenarios from the checkpoint at path through
+// Runner.ResumeCheckpointAccumulate and returns the rendered aggregates
+// with the restored-scenario count.
+func resumeRender(t *testing.T, r *Runner, path, label string, scenarios []Scenario) ([]byte, int) {
+	t.Helper()
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+	restored, failed, err := r.ResumeCheckpointAccumulate(context.Background(), path, label, scenarios, acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 0 {
+		t.Fatalf("resume left failures: %v", failed)
+	}
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderAggs(t, aggs), restored
+}
+
 // TestCheckpointKillRestart simulates the killed-process path: a first
 // "process" streams results to a checkpoint and dies mid-sweep (its
 // in-memory results are discarded — only the file survives, as after
-// SIGKILL); a second process re-expands the same grid, loads the file and
-// resumes. The aggregate bytes must match an uninterrupted run at every
+// SIGKILL); a second process re-expands the same grid and resumes from
+// the file. The aggregate bytes must match an uninterrupted run at every
 // worker count.
 func TestCheckpointKillRestart(t *testing.T) {
-	golden := renderAll(t, (&Runner{Workers: 4}).Run(context.Background(), syntheticScenarios(7, 3)))
+	golden := renderAggs(t, Aggregated((&Runner{Workers: 4}).Run(context.Background(), syntheticScenarios(7, 3))))
 
 	for _, workers := range []int{1, 3, 8} {
 		path := filepath.Join(t.TempDir(), "sweep.jsonl")
@@ -42,26 +62,18 @@ func TestCheckpointKillRestart(t *testing.T) {
 
 		// Process 2: fresh grid expansion, resume from disk only.
 		scenarios = syntheticScenarios(7, 3)
-		loaded, n, err := LoadCheckpoint(path, "", scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 || n == len(scenarios) {
-			t.Fatalf("loaded %d of %d scenarios; kill landed outside the sweep", n, len(scenarios))
-		}
-		if len(Errored(loaded)) != len(scenarios)-n {
-			t.Fatalf("pending = %d, want %d", len(Errored(loaded)), len(scenarios)-n)
-		}
 		cp2, err := NewCheckpoint(path, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed := (&Runner{Workers: workers, Progress: cp2.Progress(nil)}).
-			Resume(context.Background(), scenarios, loaded)
+		out, n := resumeRender(t, &Runner{Workers: workers, Progress: cp2.Progress(nil)}, path, "", scenarios)
 		if err := cp2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if out := renderAll(t, resumed); !bytes.Equal(out, golden) {
+		if n == 0 || n == len(scenarios) {
+			t.Fatalf("restored %d of %d scenarios; kill landed outside the sweep", n, len(scenarios))
+		}
+		if !bytes.Equal(out, golden) {
 			t.Errorf("workers=%d: kill/restart output differs from uninterrupted run:\n%s\n--- vs ---\n%s",
 				workers, out, golden)
 		}
@@ -75,8 +87,11 @@ func TestCheckpointKillRestart(t *testing.T) {
 		if n != len(scenarios) || len(Errored(full)) != 0 {
 			t.Fatalf("complete checkpoint loaded %d of %d", n, len(scenarios))
 		}
-		if out := renderAll(t, full); !bytes.Equal(out, golden) {
+		if out := renderAggs(t, Aggregated(full)); !bytes.Equal(out, golden) {
 			t.Errorf("workers=%d: checkpoint-only output differs from live run", workers)
+		}
+		if out, n := resumeRender(t, &Runner{Workers: workers}, path, "", scenarios); n != len(scenarios) || !bytes.Equal(out, golden) {
+			t.Errorf("workers=%d: complete-checkpoint resume restored %d of %d or changed the output", workers, n, len(scenarios))
 		}
 	}
 }
@@ -96,7 +111,7 @@ func TestCheckpointTornLine(t *testing.T) {
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	golden := renderAll(t, results)
+	golden := renderAggs(t, Aggregated(results))
 
 	// Tear the last record in half — the shape SIGKILL leaves mid-write.
 	blob, err := os.ReadFile(path)
@@ -110,15 +125,14 @@ func TestCheckpointTornLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, n, err := LoadCheckpoint(path, "", scenarios)
-	if err != nil {
-		t.Fatal(err)
+	if _, n, err := LoadCheckpoint(path, "", scenarios); err != nil || n != len(scenarios)-1 {
+		t.Fatalf("loaded %d (err %v), want %d (one torn record)", n, err, len(scenarios)-1)
 	}
+	out, n := resumeRender(t, &Runner{Workers: 2}, path, "", scenarios)
 	if n != len(scenarios)-1 {
-		t.Fatalf("loaded %d, want %d (one torn record)", n, len(scenarios)-1)
+		t.Fatalf("resume restored %d, want %d (one torn record)", n, len(scenarios)-1)
 	}
-	resumed := (&Runner{Workers: 2}).Resume(context.Background(), scenarios, loaded)
-	if out := renderAll(t, resumed); !bytes.Equal(out, golden) {
+	if !bytes.Equal(out, golden) {
 		t.Error("torn-line resume output differs from original run")
 	}
 
@@ -129,11 +143,11 @@ func TestCheckpointTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed = (&Runner{Workers: 2, Progress: cp2.Progress(nil)}).Resume(context.Background(), scenarios, loaded)
+	out, _ = resumeRender(t, &Runner{Workers: 2, Progress: cp2.Progress(nil)}, path, "", scenarios)
 	if err := cp2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if out := renderAll(t, resumed); !bytes.Equal(out, golden) {
+	if !bytes.Equal(out, golden) {
 		t.Error("recorded torn-line resume output differs from original run")
 	}
 	if _, n, err = LoadCheckpoint(path, "", scenarios); err != nil || n != len(scenarios) {

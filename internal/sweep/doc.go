@@ -5,7 +5,7 @@
 // error capture, and aggregates replica metrics into mean/stddev/percentile
 // summaries rendered through internal/report.
 //
-// The engine is built around four guarantees:
+// The engine is built around these guarantees:
 //
 //   - Determinism: a scenario's seed is a hash of its parameter point and
 //     replica index — never a shared RNG, never dependent on execution
@@ -17,8 +17,8 @@
 //   - Order independence: results are reported in scenario order regardless
 //     of which worker finished first.
 //   - Durability: a Checkpoint streams completed results to a JSONL file
-//     as they finish, and LoadCheckpoint aligns that file back onto a
-//     freshly expanded scenario list — so even a SIGKILLed process can
+//     as they finish, and Runner.ResumeCheckpointAccumulate reads that
+//     file back against a freshly expanded scenario list — so even a SIGKILLed process can
 //     restart, run only what is missing, and emit the same bytes as an
 //     uninterrupted run.
 //   - Shard invariance: a Shard deterministically partitions the expanded
@@ -27,14 +27,12 @@
 //     MergeCheckpointsInto recombines the N files — validating same
 //     grid/master-seed/config, rejecting overlaps, naming gaps — into
 //     output byte-identical to an unsharded run at any shard count.
-//   - Bounded aggregation: an Accumulator folds results into per-point
-//     aggregates as workers finish (Runner.Accumulate, or record-at-a-time
-//     from shard files via MergeCheckpointsInto), reordered behind a
-//     cursor so streaming changes memory, never bytes. AggExact keeps raw
-//     samples; AggSketch swaps the sample pools for bounded quantile
-//     sketches (stats.GKSketch) whose percentile error is test-enforced;
-//     AggAuto cuts over from the former to the latter at a sample budget,
-//     bit-identically to a pure run of either.
+//   - Streaming aggregation: an Accumulator folds results into per-point
+//     aggregates as workers finish (Runner.Accumulate, record-at-a-time
+//     from a checkpoint via Runner.ResumeCheckpointAccumulate, or from
+//     shard files via MergeCheckpointsInto), reordered behind a cursor so
+//     streaming changes memory, never bytes. The fold is exact: it pools
+//     every raw value, as the batch Aggregated does.
 //
 // Two scenario constructors cover the repo's simulators: FlowSpec builds
 // flow-level scenarios (the Figure 4 recipe: ISP topology + Poisson

@@ -78,9 +78,10 @@ func ExampleGrid_Expand() {
 
 // ExampleCheckpoint shows the durability lifecycle: a first process
 // streams completed scenarios to a JSONL checkpoint; after a crash (or
-// SIGKILL), a second process re-expands the same grid, restores the file
-// with LoadCheckpoint, and Resume executes only what is missing — here,
-// nothing. The rendered output is byte-identical to an uninterrupted run.
+// SIGKILL), a second process re-expands the same grid and
+// ResumeCheckpointAccumulate folds the file's records, executing only what
+// is missing — here, nothing. The rendered output is byte-identical to an
+// uninterrupted run.
 func ExampleCheckpoint() {
 	dir, _ := os.MkdirTemp("", "sweep-example")
 	defer os.RemoveAll(dir)
@@ -95,10 +96,20 @@ func ExampleCheckpoint() {
 	cp.Close()
 
 	// Process 2 (after a kill): restore from disk, run only the rest.
-	restored, n, _ := sweep.LoadCheckpoint(path, "demo config", scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
+	n, _, err := (&sweep.Runner{Workers: 2}).ResumeCheckpointAccumulate(
+		context.Background(), path, "demo config", scenarios, acc, nil)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("restored %d/%d scenarios\n", n, len(scenarios))
-	results := (&sweep.Runner{Workers: 2}).Resume(context.Background(), scenarios, restored)
-	sweep.Table("resumed sweep", sweep.Aggregated(results), "throughput").Render(os.Stdout)
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	sweep.Table("resumed sweep", aggs, "throughput").Render(os.Stdout)
 	// Output:
 	// restored 8/8 scenarios
 	// resumed sweep
@@ -136,7 +147,7 @@ func ExampleMergeCheckpointsInto() {
 	}
 
 	// One host gathers the checkpoint files and merges.
-	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{Mode: sweep.AggExact}, scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	if err := sweep.MergeCheckpointsInto(acc, "demo config", scenarios, paths...); err != nil {
 		fmt.Println(err)
 		return

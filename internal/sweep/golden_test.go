@@ -135,7 +135,7 @@ func goldenChurnScenarios(reg *obs.Registry, tr *obs.Trace) []Scenario {
 // runner itself.
 func renderGolden(t *testing.T, scenarios []Scenario, reg *obs.Registry) (table, csv, jsonOut []byte) {
 	t.Helper()
-	acc := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 	runner := &Runner{Workers: 4, Obs: reg}
 	failed, err := runner.Accumulate(context.Background(), scenarios, acc)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestGoldenChurnWorkerInvariance(t *testing.T) {
 		t.Skip("short mode")
 	}
 	scenarios := goldenChurnScenarios(nil, nil)
-	acc := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 	runner := &Runner{Workers: 1}
 	if _, err := runner.Accumulate(context.Background(), scenarios, acc); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 		t.Skip("short mode")
 	}
 	scenarios := goldenFlowScenarios(nil, nil)
-	acc := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 	runner := &Runner{Workers: 1}
 	if _, err := runner.Accumulate(context.Background(), scenarios, acc); err != nil {
 		t.Fatal(err)

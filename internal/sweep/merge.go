@@ -47,13 +47,11 @@ type recordRef struct {
 // executing any scenario. It indexes each file's records by byte offset in
 // a validation pass, then re-reads exactly one record at a time in
 // scenario order and folds it into acc, so peak memory is one record plus
-// the accumulator's representation: with a sketch-mode accumulator, a
-// merge of arbitrarily many shard checkpoints aggregates in bounded space.
-// Because records feed acc in scenario order, the folded aggregates equal
-// a single-host run of the same grid at any shard count: byte-identical in
-// exact mode, identical sketch states in sketch mode (a sketch is a pure
-// function of its Add order, and checkpointed float64s round-trip
-// exactly).
+// the accumulator's aggregates. Because records feed acc in scenario order
+// and checkpointed float64s round-trip exactly, the folded aggregates
+// render byte-identically to a single-host run of the same grid at any
+// shard count. It is the one way to recombine static shards, used by
+// cmd/sweep -merge.
 //
 // Every file is validated the way LoadCheckpoint validates a resume: a
 // header label differing from label (different non-axis configuration),

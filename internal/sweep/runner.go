@@ -16,7 +16,7 @@ import (
 
 // Progress is invoked after each scenario finishes (success, failure or
 // cancellation). done counts finished scenarios including this one; total
-// is the number of scenarios this Run or Resume call is executing. Calls
+// is the number of scenarios this call is executing. Calls
 // are serialised by the runner but arrive in completion order, which
 // depends on scheduling — do not derive results from it.
 type Progress func(done, total int, r Result)
@@ -29,9 +29,10 @@ type Runner struct {
 	// Progress, when non-nil, streams per-scenario completion events.
 	Progress Progress
 	// Shard, when non-zero, restricts execution to the scenarios this
-	// shard owns (see Shard), so a grid can be split across machines: Run
-	// returns other shards' results carrying ErrOtherShard, Resume never
-	// re-runs them, and Progress counts only this shard's scenarios.
+	// shard owns (see Shard), so a grid can be split across machines: other
+	// shards' scenarios come back (or are observed) as ErrOtherShard, a
+	// resume never restores or re-runs them, and Progress counts only this
+	// shard's scenarios.
 	Shard Shard
 	// Obs, when non-nil, binds sweep-level metrics to the registry:
 	// counters sweep_scenarios_scheduled / _completed / _failed,
@@ -45,12 +46,14 @@ type Runner struct {
 // scenario order regardless of completion order. A scenario that returns an
 // error (or panics) is captured in its Result; the sweep continues. When
 // ctx is cancelled, not-yet-started scenarios complete immediately with
-// ctx's error — use Resume to finish them later. Scenarios already running
+// ctx's error; a Checkpoint attached through Progress lets
+// ResumeCheckpointAccumulate finish them later. Scenarios already running
 // see the cancellation through the ctx passed to their RunFunc; one that
 // never re-checks it (the shipped simulators are single-shot) runs to
 // completion first, so cancellation latency is bounded by the longest
 // in-flight scenario. With Shard set, only the shard's scenarios execute;
-// the rest complete immediately with ErrOtherShard.
+// the rest complete immediately with ErrOtherShard. Run stays beside the
+// streaming paths because the sweepd worker submits per-scenario results.
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 	results := make([]Result, len(scenarios))
 	indices := make([]int, 0, len(scenarios))
@@ -87,41 +90,13 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 	return ro.done()
 }
 
-// ResumeAccumulate is Resume on the streaming path: prior results without
-// an error feed acc as restored scenarios, errored ones (typically
-// ErrNotRun placeholders from LoadCheckpoint, or context.Canceled from an
-// interrupted run) re-execute, and — with Shard set — scenarios outside the
-// shard are observed as ErrOtherShard whatever their prior state. The
-// return values are those of Accumulate.
-func (r *Runner) ResumeAccumulate(ctx context.Context, scenarios []Scenario, prior []Result, acc *Accumulator) ([]Result, error) {
-	if len(prior) != len(scenarios) {
-		panic(fmt.Sprintf("sweep: ResumeAccumulate with %d results for %d scenarios", len(prior), len(scenarios)))
-	}
-	ro := &resultObserver{acc: acc}
-	var pending []int
-	for i, res := range prior {
-		sc := scenarios[i]
-		if !r.Shard.Contains(sc) {
-			ro.observe(i, Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard})
-			continue
-		}
-		if res.Err != nil {
-			pending = append(pending, i)
-			continue
-		}
-		ro.observe(i, res)
-	}
-	r.run(ctx, scenarios, pending, ro.observe)
-	return ro.done()
-}
-
-// ResumeCheckpointAccumulate is the streaming resume: it byte-offset-
+// ResumeCheckpointAccumulate is the sweep engine's one resume, used by
+// cmd/sweep -resume and every experiment's Checkpoint: it byte-offset-
 // indexes the checkpoint file's records, executes only the scenarios the
 // file does not cover, and feeds each restored record straight from disk
 // into acc the moment the fold cursor reaches it — never materialising
-// the restored []Result, so a sketch-mode resume of an arbitrarily large
-// checkpoint aggregates in bounded memory (the prior-slice
-// ResumeAccumulate necessarily peaks at the caller's restored pool). A
+// the restored []Result. With Shard set, scenarios outside the shard are
+// observed as ErrOtherShard whether or not the file records them. A
 // missing file runs everything, like LoadCheckpoint; validation is
 // LoadCheckpoint's, record for record. It returns the restored-scenario
 // count alongside Accumulate's results; onRestored, when non-nil, receives
@@ -262,34 +237,6 @@ func (o *resultObserver) done() ([]Result, error) {
 type indexedResult struct {
 	i   int
 	res Result
-}
-
-// Resume re-executes exactly the scenarios whose previous Result carries an
-// error (typically context.Canceled from an interrupted Run, or ErrNotRun
-// from LoadCheckpoint) and returns a patched copy of results. Successful
-// results are untouched, so a cancel/resume pair yields the same result set
-// as one uninterrupted run. With Shard set, every scenario outside the
-// shard — restored or pending — comes back as ErrOtherShard: a checkpoint
-// recorded under a different shard split (or none) must not leak foreign
-// scenarios into this slice's output.
-func (r *Runner) Resume(ctx context.Context, scenarios []Scenario, results []Result) []Result {
-	if len(results) != len(scenarios) {
-		panic(fmt.Sprintf("sweep: Resume with %d results for %d scenarios", len(results), len(scenarios)))
-	}
-	patched := append([]Result(nil), results...)
-	var pending []int
-	for i, res := range patched {
-		if !r.Shard.Contains(scenarios[i]) {
-			sc := scenarios[i]
-			patched[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrOtherShard}
-			continue
-		}
-		if res.Err != nil {
-			pending = append(pending, i)
-		}
-	}
-	r.run(ctx, scenarios, pending, func(i int, res Result) { patched[i] = res })
-	return patched
 }
 
 // run executes scenarios[i] for each i in indices, handing each completed

@@ -13,7 +13,7 @@ import (
 // ErrOtherShard marks a scenario that belongs to a different shard of a
 // partitioned sweep. Results carrying it were never executed by this
 // process — Aggregated excludes them from both replica and failure
-// counts, and Runner.Resume never re-runs them.
+// counts, and ResumeCheckpointAccumulate never re-runs them.
 var ErrOtherShard = errors.New("sweep: scenario belongs to another shard")
 
 // Shard selects one slice of a deterministic Count-way partition of an

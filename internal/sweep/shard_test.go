@@ -187,7 +187,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 					runShard(t, paths[idx], label, scenarios, shard)
 				}
 			}
-			merged, err := mergeExact(label, scenarios, paths...)
+			merged, err := mergeShards(label, scenarios, paths...)
 			if err != nil {
 				t.Fatalf("trial=%d count=%d: merge: %v", trial, count, err)
 			}
@@ -199,10 +199,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// mergeExact streams the shard checkpoints through an exact-mode
-// accumulator, the way cmd/sweep -merge does.
-func mergeExact(label string, scenarios []Scenario, paths ...string) ([]Aggregate, error) {
-	acc := NewAccumulator(AccumulatorConfig{Mode: AggExact}, scenarios)
+// mergeShards streams the shard checkpoints through an accumulator, the
+// way cmd/sweep -merge does.
+func mergeShards(label string, scenarios []Scenario, paths ...string) ([]Aggregate, error) {
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
 	if err := MergeCheckpointsInto(acc, label, scenarios, paths...); err != nil {
 		return nil, err
 	}
@@ -245,24 +245,22 @@ func runShardWithKill(t *testing.T, path, label string, scenarios []Scenario, sh
 		t.Fatal(err)
 	}
 
-	// Second process: fresh load from disk, resume the rest of the shard.
-	loaded, _, err := LoadCheckpoint(path, label, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Second process: resume the rest of the shard from disk only.
 	cp2, err := NewCheckpoint(path, label)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := (&Runner{Workers: 2, Shard: shard, Progress: cp2.Progress(nil)}).
-		Resume(context.Background(), scenarios, loaded)
+	r = &Runner{Workers: 2, Shard: shard, Progress: cp2.Progress(nil)}
+	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+	_, failed, err := r.ResumeCheckpointAccumulate(context.Background(), path, label, scenarios, acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cp2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range Errored(resumed) {
-		if !Skipped(resumed[i]) {
-			t.Fatalf("shard %v resume left a real failure: %v", shard, resumed[i].Err)
-		}
+	if len(failed) != 0 {
+		t.Fatalf("shard %v resume left a real failure: %v", shard, failed[0].Err)
 	}
 }
 
@@ -278,12 +276,12 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	runShard(t, a, label, scenarios, Shard{Index: 0, Count: 2})
 	runShard(t, b, label, scenarios, Shard{Index: 1, Count: 2})
 
-	if _, err := mergeExact(label, scenarios, a, b); err != nil {
+	if _, err := mergeShards(label, scenarios, a, b); err != nil {
 		t.Fatalf("complete merge failed: %v", err)
 	}
 
 	// Incomplete: one shard's file missing from the set.
-	_, err := mergeExact(label, scenarios, a)
+	_, err := mergeShards(label, scenarios, a)
 	var inc *IncompleteError
 	if !errors.As(err, &inc) {
 		t.Fatalf("incomplete merge: err = %v, want *IncompleteError", err)
@@ -298,34 +296,35 @@ func TestMergeCheckpointsFailures(t *testing.T) {
 	}
 
 	// Overlap: the same scenarios contributed twice.
-	if _, err := mergeExact(label, scenarios, a, a, b); err == nil ||
+	if _, err := mergeShards(label, scenarios, a, a, b); err == nil ||
 		!strings.Contains(err.Error(), "overlap") {
 		t.Errorf("overlapping merge: err = %v, want overlap", err)
 	}
 
 	// Foreign: a label from a different configuration.
-	if _, err := mergeExact("other config", scenarios, a, b); err == nil {
+	if _, err := mergeShards("other config", scenarios, a, b); err == nil {
 		t.Error("foreign-config merge should fail")
 	}
 	// Foreign: a different master seed changes every derived scenario seed.
-	if _, err := mergeExact(label, syntheticScenarios(8, 2), a, b); err == nil ||
+	if _, err := mergeShards(label, syntheticScenarios(8, 2), a, b); err == nil ||
 		!strings.Contains(err.Error(), "seed") {
 		t.Errorf("foreign-seed merge: err = %v, want seed mismatch", err)
 	}
 
 	// A typo'd path must not read as an empty shard.
-	if _, err := mergeExact(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
+	if _, err := mergeShards(label, scenarios, a, filepath.Join(dir, "nope.jsonl")); err == nil {
 		t.Error("merge with a missing file should fail")
 	}
 	// No files at all is an error, not an empty result.
-	if _, err := mergeExact(label, scenarios); err == nil {
+	if _, err := mergeShards(label, scenarios); err == nil {
 		t.Error("merge with no files should fail")
 	}
 }
 
-// TestShardRunMarksOtherShards: Run and Resume must mark out-of-shard
-// scenarios with ErrOtherShard, Aggregated must ignore them, and a
-// sharded Resume must never execute another shard's pending work.
+// TestShardRunMarksOtherShards: Run must mark out-of-shard scenarios with
+// ErrOtherShard, Aggregated must ignore them, and a sharded
+// ResumeCheckpointAccumulate must never restore or execute another
+// shard's scenarios.
 func TestShardRunMarksOtherShards(t *testing.T) {
 	scenarios := syntheticScenarios(7, 2)
 	shard := Shard{Index: 0, Count: 3}
@@ -368,46 +367,48 @@ func TestShardRunMarksOtherShards(t *testing.T) {
 		t.Fatalf("aggregated %d replicas (%d failed), want %d (0)", replicas, failed, mine)
 	}
 
-	// Resume from all-pending placeholders runs exactly the shard again.
-	loaded, _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.jsonl"), "", scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := (&Runner{Workers: 2, Shard: shard}).Resume(context.Background(), scenarios, loaded)
-	for i, r := range resumed {
-		in := shard.Contains(scenarios[i])
-		if in && r.Err != nil {
-			t.Fatalf("in-shard %q not resumed: %v", r.Name, r.Err)
-		}
-		if !in && !errors.Is(r.Err, ErrOtherShard) {
-			t.Fatalf("out-of-shard %q: err = %v, want ErrOtherShard", r.Name, r.Err)
-		}
-	}
-
-	// A checkpoint recorded without a shard (or under a different split)
-	// restores successes for out-of-shard scenarios; a sharded Resume
-	// must discard them, not fold foreign scenarios into this slice.
+	// A sharded resume from a missing checkpoint runs exactly the shard
+	// again; one from a checkpoint recorded without a shard (or under a
+	// different split) must neither restore nor run other shards'
+	// scenarios, so no foreign result folds into this slice's output.
 	full := filepath.Join(t.TempDir(), "full.jsonl")
 	runShard(t, full, "", scenarios, Shard{}) // unsharded checkpoint
-	restored, n, err := LoadCheckpoint(full, "", scenarios)
-	if err != nil || n != len(scenarios) {
-		t.Fatalf("full restore: n=%d err=%v", n, err)
-	}
-	resumed = (&Runner{Workers: 2, Shard: shard}).Resume(context.Background(), scenarios, restored)
-	kept := 0
-	for i, r := range resumed {
-		if shard.Contains(scenarios[i]) {
-			if r.Err != nil {
-				t.Fatalf("in-shard %q lost its restored result: %v", r.Name, r.Err)
+	for _, tc := range []struct {
+		path         string
+		wantRestored int
+	}{
+		{filepath.Join(t.TempDir(), "absent.jsonl"), 0},
+		{full, mine},
+	} {
+		ran := map[string]bool{} // Progress calls are serialised
+		r := &Runner{Workers: 2, Shard: shard, Progress: func(_, _ int, res Result) { ran[res.Name] = true }}
+		acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+		restored, failed, err := r.ResumeCheckpointAccumulate(context.Background(), tc.path, "", scenarios, acc, nil)
+		if err != nil || len(failed) != 0 {
+			t.Fatalf("%s: sharded resume: failed=%v err=%v", tc.path, failed, err)
+		}
+		if restored != tc.wantRestored {
+			t.Fatalf("%s: restored %d scenarios, want %d", tc.path, restored, tc.wantRestored)
+		}
+		if len(ran) != mine-restored {
+			t.Fatalf("%s: ran %d scenarios, want %d", tc.path, len(ran), mine-restored)
+		}
+		for _, sc := range scenarios {
+			if ran[sc.Name] && !shard.Contains(sc) {
+				t.Fatalf("%s: ran out-of-shard scenario %q", tc.path, sc.Name)
 			}
-			kept++
-			continue
 		}
-		if !errors.Is(r.Err, ErrOtherShard) {
-			t.Fatalf("foreign restored %q leaked into shard output (err = %v)", r.Name, r.Err)
+		aggs, err := acc.Aggregates()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if kept != mine {
-		t.Fatalf("sharded resume kept %d results, shard owns %d", kept, mine)
+		var replicas, failedReplicas int
+		for _, a := range aggs {
+			replicas += a.Replicas
+			failedReplicas += a.Failed
+		}
+		if replicas != mine || failedReplicas != 0 {
+			t.Fatalf("%s: resumed %d replicas (%d failed), want %d (0)", tc.path, replicas, failedReplicas, mine)
+		}
 	}
 }

@@ -181,10 +181,12 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunCancelResume: cancelling Run mid-sweep returns every unstarted
+// scenario as context.Canceled, ready for a resume, and keeps the results
+// of scenarios that finished. TestAccumulatorResumeMatchesUninterrupted
+// covers the resume itself.
 func TestRunCancelResume(t *testing.T) {
 	scenarios := syntheticScenarios(7, 3)
-	golden := renderAll(t, (&Runner{Workers: 4}).Run(context.Background(), scenarios))
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := &Runner{Workers: 2, Progress: func(done, total int, res Result) {
@@ -202,14 +204,8 @@ func TestRunCancelResume(t *testing.T) {
 			t.Errorf("result %d: err = %v, want context.Canceled", i, partial[i].Err)
 		}
 	}
-
-	resumed := (&Runner{Workers: 4}).Resume(context.Background(), scenarios, partial)
-	if len(Errored(resumed)) != 0 {
-		t.Fatalf("resume left errors: %v", Errored(resumed))
-	}
-	if out := renderAll(t, resumed); !bytes.Equal(out, golden) {
-		t.Errorf("cancel/resume output differs from uninterrupted run:\n%s\n--- vs ---\n%s",
-			out, golden)
+	if len(errored) == len(scenarios) {
+		t.Fatal("cancel discarded the scenarios that finished")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -52,9 +51,6 @@ type Config struct {
 	// LeaseTTL is how long a lease lives between heartbeats
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Agg configures the accumulator the final fold and the live
-	// percentile endpoint use.
-	Agg sweep.AccumulatorConfig
 	// Obs, when non-nil, receives the service metrics (leases granted /
 	// expired / outstanding, scenarios done / requeued, record dedups,
 	// worker liveness).
@@ -90,7 +86,6 @@ type Coordinator struct {
 	index     map[string]int
 	batch     int
 	ttl       time.Duration
-	agg       sweep.AccumulatorConfig
 	now       func() time.Time
 	log       io.Writer
 	cp        *sweep.Checkpoint
@@ -155,7 +150,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		index:     make(map[string]int, len(cfg.Scenarios)),
 		batch:     cfg.Batch,
 		ttl:       cfg.LeaseTTL,
-		agg:       cfg.Agg,
 		now:       cfg.Now,
 		log:       cfg.Log,
 		cp:        cp,
@@ -511,8 +505,8 @@ func (c *Coordinator) markDone(i int, res sweep.Result) {
 }
 
 // FoldInto observes every result in scenario order into acc — exactly
-// the fold Runner.Accumulate performs, so the aggregates (and, in exact
-// mode, the rendered bytes) are identical to a single-host run. It fails
+// the fold Runner.Accumulate performs, so the aggregates and their
+// rendered bytes are identical to a single-host run. It fails
 // if the grid is not complete.
 func (c *Coordinator) FoldInto(acc *sweep.Accumulator) error {
 	c.mu.Lock()
@@ -656,10 +650,7 @@ func (c *Coordinator) serveAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 // servePercentile answers ?metric=NAME&p=95 per grid point over what has
-// finished so far. In sketch aggregation mode the answer comes from a
-// bounded Greenwald–Khanna sketch fed the pooled samples (the same
-// representation the final sketch-mode fold holds), within its
-// documented rank-error bound; in exact mode it interpolates raw values.
+// finished so far, interpolating the raw values the coordinator holds.
 func (c *Coordinator) servePercentile(w http.ResponseWriter, r *http.Request) {
 	metric := r.URL.Query().Get("metric")
 	if metric == "" {
@@ -669,40 +660,29 @@ func (c *Coordinator) servePercentile(w http.ResponseWriter, r *http.Request) {
 	p := 50.0
 	if ps := r.URL.Query().Get("p"); ps != "" {
 		var err error
-		if p, err = strconv.ParseFloat(ps, 64); err != nil || p < 0 || p > 100 {
+		// !(p >= 0 && p <= 100) also rejects NaN, which every ordered
+		// comparison fails and which would index the sorted values at
+		// math.MinInt.
+		if p, err = strconv.ParseFloat(ps, 64); err != nil || !(p >= 0 && p <= 100) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("sweepd: bad percentile %q", ps)})
 			return
 		}
 	}
-	sketched := c.agg.Mode == sweep.AggSketch
 	type row struct {
 		Point  map[string]string `json:"point"`
 		Metric string            `json:"metric"`
 		P      float64           `json:"p"`
 		Value  float64           `json:"value"`
-		Sketch bool              `json:"sketch"`
 	}
 	aggs := sweep.Aggregated(c.liveResults())
 	rows := make([]row, 0, len(aggs))
 	for i := range aggs {
 		a := &aggs[i]
-		v := a.Percentile(metric, p)
-		if sketched {
-			xs, ok := a.Samples[metric]
-			if !ok {
-				xs = a.Series[metric]
-			}
-			sk := stats.NewGKSketch(c.agg.Eps)
-			for _, x := range xs {
-				sk.Add(x)
-			}
-			v = sk.Percentile(p)
-		}
 		pt := map[string]string{}
 		for _, kv := range a.Point {
 			pt[kv.Key] = kv.Value
 		}
-		rows = append(rows, row{Point: pt, Metric: metric, P: p, Value: v, Sketch: sketched})
+		rows = append(rows, row{Point: pt, Metric: metric, P: p, Value: a.Percentile(metric, p)})
 	}
 	writeJSON(w, http.StatusOK, rows)
 }

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -155,18 +156,18 @@ func renderAll(t *testing.T, acc *sweep.Accumulator) []byte {
 
 // referenceRender runs the grid through Runner.Accumulate — the
 // single-host reference every service run must match byte for byte.
-func referenceRender(t *testing.T, scenarios []sweep.Scenario, cfg sweep.AccumulatorConfig) []byte {
+func referenceRender(t *testing.T, scenarios []sweep.Scenario) []byte {
 	t.Helper()
-	acc := sweep.NewAccumulator(cfg, scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	if failed, err := (&sweep.Runner{}).Accumulate(context.Background(), scenarios, acc); err != nil || len(failed) > 0 {
 		t.Fatalf("reference run: err %v, %d failed", err, len(failed))
 	}
 	return renderAll(t, acc)
 }
 
-func foldRender(t *testing.T, c *Coordinator, scenarios []sweep.Scenario, cfg sweep.AccumulatorConfig) []byte {
+func foldRender(t *testing.T, c *Coordinator, scenarios []sweep.Scenario) []byte {
 	t.Helper()
-	acc := sweep.NewAccumulator(cfg, scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	if err := c.FoldInto(acc); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +181,51 @@ func TestCoordinatorLeaseDrain(t *testing.T) {
 	if !c.Complete() || c.Done() != len(scenarios) {
 		t.Fatalf("done %d/%d, complete %v", c.Done(), len(scenarios), c.Complete())
 	}
-	if got, want := foldRender(t, c, scenarios, sweep.AccumulatorConfig{Mode: sweep.AggExact}),
-		referenceRender(t, scenarios, sweep.AccumulatorConfig{Mode: sweep.AggExact}); !bytes.Equal(got, want) {
+	if got, want := foldRender(t, c, scenarios), referenceRender(t, scenarios); !bytes.Equal(got, want) {
 		t.Error("service output differs from single-host reference")
+	}
+}
+
+// TestCoordinatorPercentile pins GET /percentile: one row per grid point
+// with the raw-value percentile of what has finished, and a 400 — never a
+// handler panic — for every bad query, NaN included.
+func TestCoordinatorPercentile(t *testing.T) {
+	scenarios := testScenarios(3, 2)
+	c, _ := newTestCoordinator(t, scenarios, nil, Config{Batch: 4})
+	drain(t, c, "w")
+	h := c.Handler()
+	get := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/percentile?"+query, nil))
+		return rec
+	}
+
+	rec := get("metric=s&p=90")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("good query: status %d: %s", rec.Code, rec.Body)
+	}
+	var rows []map[string]interface{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+		t.Fatal(err)
+	}
+	aggs := sweep.Aggregated(c.liveResults())
+	if len(rows) != len(aggs) {
+		t.Fatalf("%d rows for %d grid points", len(rows), len(aggs))
+	}
+	for i, row := range rows {
+		if want := aggs[i].Percentile("s", 90); row["value"] != want {
+			t.Errorf("row %d: value %v, want %v", i, row["value"], want)
+		}
+		if _, ok := row["sketch"]; ok {
+			t.Errorf("row %d still carries a sketch field: %v", i, row)
+		}
+	}
+
+	for _, query := range []string{"p=50", "metric=s&p=abc", "metric=s&p=-1", "metric=s&p=101",
+		"metric=s&p=NaN", "metric=s&p=nan", "metric=s&p=Inf", "metric=s&p=-Inf"} {
+		if rec := get(query); rec.Code != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", query, rec.Code)
+		}
 	}
 }
 
@@ -223,8 +266,7 @@ func TestLeaseExpiryStealsWork(t *testing.T) {
 		t.Fatalf("late submit not deduplicated: %+v", resp)
 	}
 	drain(t, c, "fast")
-	if got, want := foldRender(t, c, scenarios, sweep.AccumulatorConfig{Mode: sweep.AggExact}),
-		referenceRender(t, scenarios, sweep.AccumulatorConfig{Mode: sweep.AggExact}); !bytes.Equal(got, want) {
+	if got, want := foldRender(t, c, scenarios), referenceRender(t, scenarios); !bytes.Equal(got, want) {
 		t.Error("output differs from reference after re-lease + duplicate submission")
 	}
 }
@@ -309,7 +351,7 @@ func TestDuplicateFirstWriteWins(t *testing.T) {
 	if err != nil || resp.Duplicates != 1 || resp.Accepted != 0 {
 		t.Fatalf("duplicate submit: %+v err %v", resp, err)
 	}
-	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{Mode: sweep.AggExact}, scenarios)
+	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	if err := c.FoldInto(acc); err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +393,8 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("restored %d, want %d", c2.Restored(), done)
 	}
 	drain(t, c2, "w2")
-	for _, mode := range []sweep.AggMode{sweep.AggExact, sweep.AggSketch} {
-		cfg := sweep.AccumulatorConfig{Mode: mode}
-		if got, want := foldRender(t, c2, scenarios, cfg), referenceRender(t, scenarios, cfg); !bytes.Equal(got, want) {
-			t.Errorf("mode %v: resumed output differs from reference", mode)
-		}
+	if got, want := foldRender(t, c2, scenarios), referenceRender(t, scenarios); !bytes.Equal(got, want) {
+		t.Error("resumed output differs from reference")
 	}
 }
 
@@ -419,9 +458,8 @@ func TestLeaseRejectsForeignLabel(t *testing.T) {
 
 // TestCoordinatorChaosProperty is the property test: random grids ×
 // worker counts × injected lease expiries, duplicate submissions and
-// coordinator restarts, checked against Runner.Accumulate in both exact
-// and sketch aggregation modes (DeepEqual on aggregates; byte-equal
-// rendering in exact mode, where the contract is byte identity).
+// coordinator restarts, checked against Runner.Accumulate (DeepEqual on
+// aggregates, and byte-equal rendering).
 func TestCoordinatorChaosProperty(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
 		iter := iter
@@ -493,29 +531,24 @@ func TestCoordinatorChaosProperty(t *testing.T) {
 				}
 			}
 
-			for _, mode := range []sweep.AggMode{sweep.AggExact, sweep.AggSketch} {
-				accCfg := sweep.AccumulatorConfig{Mode: mode}
-				accSvc := sweep.NewAccumulator(accCfg, scenarios)
-				if err := c.FoldInto(accSvc); err != nil {
-					t.Fatal(err)
-				}
-				accRef := sweep.NewAccumulator(accCfg, scenarios)
-				if failed, err := (&sweep.Runner{Workers: workers}).Accumulate(context.Background(), scenarios, accRef); err != nil || len(failed) > 0 {
-					t.Fatalf("reference: err %v, %d failed", err, len(failed))
-				}
-				got, err1 := accSvc.Aggregates()
-				want, err2 := accRef.Aggregates()
-				if err1 != nil || err2 != nil {
-					t.Fatalf("aggregates: %v / %v", err1, err2)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("mode %v: aggregates differ from Runner.Accumulate", mode)
-				}
-				if mode == sweep.AggExact {
-					if !bytes.Equal(renderAll(t, accSvc), renderAll(t, accRef)) {
-						t.Error("exact mode: rendered bytes differ from Runner.Accumulate")
-					}
-				}
+			accSvc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
+			if err := c.FoldInto(accSvc); err != nil {
+				t.Fatal(err)
+			}
+			accRef := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
+			if failed, err := (&sweep.Runner{Workers: workers}).Accumulate(context.Background(), scenarios, accRef); err != nil || len(failed) > 0 {
+				t.Fatalf("reference: err %v, %d failed", err, len(failed))
+			}
+			got, err1 := accSvc.Aggregates()
+			want, err2 := accRef.Aggregates()
+			if err1 != nil || err2 != nil {
+				t.Fatalf("aggregates: %v / %v", err1, err2)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("aggregates differ from Runner.Accumulate")
+			}
+			if !bytes.Equal(renderAll(t, accSvc), renderAll(t, accRef)) {
+				t.Error("rendered bytes differ from Runner.Accumulate")
 			}
 		})
 	}
@@ -557,8 +590,7 @@ func TestWorkerLoopEndToEnd(t *testing.T) {
 	if !c.Complete() {
 		t.Fatal("grid incomplete after all workers exited")
 	}
-	cfg := sweep.AccumulatorConfig{Mode: sweep.AggExact}
-	if got, want := foldRender(t, c, scenarios, cfg), referenceRender(t, scenarios, cfg); !bytes.Equal(got, want) {
+	if got, want := foldRender(t, c, scenarios), referenceRender(t, scenarios); !bytes.Equal(got, want) {
 		t.Error("3-worker output differs from single-host reference")
 	}
 	if v := reg.Counter("sweepd_records_accepted").Value(); v != int64(len(scenarios)) {

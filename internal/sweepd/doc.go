@@ -16,7 +16,7 @@
 // output because scenarios are deterministic functions of their seeds.
 //
 // The determinism contract extends the sharded one: the final aggregates
-// (and their rendered table/CSV/JSON bytes, in exact mode) are invariant
+// and their rendered table/CSV/JSON bytes are invariant
 // to worker count, lease order, batch size, lease expiry, duplicate
 // submission and coordinator restarts — identical to a single-host
 // Runner.Accumulate of the same grid — because every result folds
@@ -25,6 +25,7 @@
 // The same HTTP mux that serves the lease protocol (POST /lease,
 // /heartbeat, /submit) also serves live progress: GET /state (queue,
 // lease and worker liveness JSON), GET /aggregate (aggregates of the
-// scenarios finished so far, with optional sketch percentile queries)
-// and the internal/obs registry at /metrics and /snapshot.
+// scenarios finished so far), GET /percentile?metric=NAME&p=95 (a
+// per-point percentile of their raw values) and the internal/obs
+// registry at /metrics and /snapshot.
 package sweepd

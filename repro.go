@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/route"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
 	"repro/internal/topo"
@@ -122,12 +121,6 @@ type (
 	SweepAccumulator = sweep.Accumulator
 	// SweepAccumulatorConfig parameterises NewSweepAccumulator.
 	SweepAccumulatorConfig = sweep.AccumulatorConfig
-	// SweepAggMode selects the accumulator's representation: exact raw
-	// pooling, bounded quantile sketches, or automatic cutover.
-	SweepAggMode = sweep.AggMode
-	// QuantileSketch is a mergeable bounded ε-approximate quantile summary
-	// (Greenwald–Khanna).
-	QuantileSketch = stats.GKSketch
 
 	// SweepCoordinator pools worker capacity behind lease-based work
 	// stealing: it holds one expanded grid, leases scenario batches over
@@ -186,19 +179,6 @@ const (
 	ARC   = chunknet.ARC
 )
 
-// Sweep aggregation modes.
-const (
-	// SweepAggExact pools every raw sample — byte-identical to the batch
-	// AggregateSweep path.
-	SweepAggExact = sweep.AggExact
-	// SweepAggSketch holds bounded quantile sketches: O(sketch) memory per
-	// grid point regardless of replica and sample counts.
-	SweepAggSketch = sweep.AggSketch
-	// SweepAggAuto starts exact and cuts over to sketches past the
-	// configured sample budget.
-	SweepAggAuto = sweep.AggAuto
-)
-
 // ISPs lists the nine Table 1 topologies.
 func ISPs() []ISP { return topo.ISPs() }
 
@@ -247,13 +227,6 @@ func RunSweep(ctx context.Context, workers int, scenarios []SweepScenario) []Swe
 	return (&sweep.Runner{Workers: workers}).Run(ctx, scenarios)
 }
 
-// ResumeSweep re-executes exactly the scenarios whose prior result
-// carries an error (a cancelled run, or ErrNotRun placeholders from
-// LoadSweepCheckpoint) and returns the patched result set.
-func ResumeSweep(ctx context.Context, workers int, scenarios []SweepScenario, prior []SweepResult) []SweepResult {
-	return (&sweep.Runner{Workers: workers}).Resume(ctx, scenarios, prior)
-}
-
 // NewSweepCheckpoint opens (or appends to) a JSONL sweep checkpoint. A
 // non-empty label binds the file to the sweep's non-axis configuration;
 // reopening under a different label fails.
@@ -262,9 +235,10 @@ func NewSweepCheckpoint(path, label string) (*SweepCheckpoint, error) {
 }
 
 // LoadSweepCheckpoint aligns a checkpoint file to a scenario list: one
-// result per scenario, restored from disk or marked not-yet-run for
-// ResumeSweep to execute. Files from a different grid, master seed or
-// config label are rejected.
+// result per scenario, restored from disk or marked not-yet-run. Files
+// from a different grid, master seed or config label are rejected. To
+// resume a sweep from a checkpoint, use
+// SweepRunner.ResumeCheckpointAccumulate.
 func LoadSweepCheckpoint(path, label string, scenarios []SweepScenario) ([]SweepResult, int, error) {
 	return sweep.LoadCheckpoint(path, label, scenarios)
 }
@@ -293,17 +267,11 @@ func AggregateSweep(results []SweepResult) []SweepAggregate {
 
 // NewSweepAccumulator returns a streaming accumulator for exactly the given
 // scenario list: results fold into per-point aggregates as they are
-// observed, in scenario order whatever the arrival order. In
-// SweepAggExact mode its aggregates render byte-identically to
-// AggregateSweep; in SweepAggSketch mode per-point memory stays bounded
-// and percentile queries answer within the sketches' documented error.
+// observed, in scenario order whatever the arrival order, and its
+// aggregates render byte-identically to AggregateSweep.
 func NewSweepAccumulator(cfg SweepAccumulatorConfig, scenarios []SweepScenario) *SweepAccumulator {
 	return sweep.NewAccumulator(cfg, scenarios)
 }
-
-// ParseSweepAggMode maps "exact"/"sketch"/"auto" (any case) to a
-// SweepAggMode.
-func ParseSweepAggMode(s string) (SweepAggMode, error) { return sweep.ParseAggMode(s) }
 
 // AccumulateSweep executes scenarios on a worker pool, folding every
 // result into acc as workers finish instead of materialising the result
@@ -312,28 +280,15 @@ func AccumulateSweep(ctx context.Context, workers int, scenarios []SweepScenario
 	return (&sweep.Runner{Workers: workers}).Accumulate(ctx, scenarios, acc)
 }
 
-// ResumeAccumulateSweep is AccumulateSweep over a prior result set (a
-// loaded checkpoint, or a cancelled run): restored results feed the
-// accumulator, errored ones re-execute.
-func ResumeAccumulateSweep(ctx context.Context, workers int, scenarios []SweepScenario, prior []SweepResult, acc *SweepAccumulator) ([]SweepResult, error) {
-	return (&sweep.Runner{Workers: workers}).ResumeAccumulate(ctx, scenarios, prior, acc)
-}
-
 // MergeSweepCheckpointsInto combines per-shard checkpoint files into acc
 // without executing any scenario — validating that every file comes from
 // the same grid, master seed and config label, rejecting overlapping
 // shard sets, and failing with an error naming the missing scenarios when
 // coverage is incomplete. Records are re-read one at a time in scenario
-// order, so the aggregates match an unsharded run byte for byte, and a
-// sketch-mode merge of arbitrarily many shards aggregates in bounded
-// memory.
+// order, so the aggregates match an unsharded run byte for byte.
 func MergeSweepCheckpointsInto(acc *SweepAccumulator, label string, scenarios []SweepScenario, paths ...string) error {
 	return sweep.MergeCheckpointsInto(acc, label, scenarios, paths...)
 }
-
-// NewQuantileSketch returns an empty mergeable quantile sketch with the
-// given rank-error fraction (eps ≤ 0 selects the 1% default).
-func NewQuantileSketch(eps float64) *QuantileSketch { return stats.NewGKSketch(eps) }
 
 // NewSweepCoordinator opens (or resumes) the coordinator's checkpoint
 // and returns a sweep-service coordinator ready to lease the grid; serve

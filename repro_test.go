@@ -144,17 +144,23 @@ func TestChunkSweepFacade(t *testing.T) {
 			t.Errorf("%s delivered nothing", r.Name)
 		}
 	}
-	loaded, n, err := LoadSweepCheckpoint(path, label, scenarios)
-	if err != nil || n != len(scenarios) {
+	if _, n, err := LoadSweepCheckpoint(path, label, scenarios); err != nil || n != len(scenarios) {
 		t.Fatalf("LoadSweepCheckpoint: n=%d err=%v", n, err)
 	}
-	resumed := ResumeSweep(context.Background(), 2, scenarios, loaded)
-	a, b := AggregateSweep(results), AggregateSweep(resumed)
-	var liveBuf, restoredBuf bytes.Buffer
-	if err := SweepJSON(&liveBuf, a); err != nil {
+	acc := NewSweepAccumulator(SweepAccumulatorConfig{}, scenarios)
+	n, failed, err := (&SweepRunner{Workers: 2}).ResumeCheckpointAccumulate(context.Background(), path, label, scenarios, acc, nil)
+	if err != nil || n != len(scenarios) || len(failed) != 0 {
+		t.Fatalf("resume: restored %d, failed %v, err %v", n, failed, err)
+	}
+	restored, err := acc.Aggregates()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SweepJSON(&restoredBuf, b); err != nil {
+	var liveBuf, restoredBuf bytes.Buffer
+	if err := SweepJSON(&liveBuf, AggregateSweep(results)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SweepJSON(&restoredBuf, restored); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(liveBuf.Bytes(), restoredBuf.Bytes()) {
