@@ -33,16 +33,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
-	var policy flowsim.Policy
-	switch *policyName {
-	case "sp":
-		policy = flowsim.SP
-	case "ecmp":
-		policy = flowsim.ECMP
-	case "inrp":
-		policy = flowsim.INRP
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *policyName))
+	policy, err := sweep.ParsePolicy(*policyName)
+	if err != nil {
+		fatal(err)
 	}
 
 	demand, err := units.ParseBitRate(*demandStr)
@@ -69,6 +62,9 @@ func main() {
 		MeanSize:  meanSize,
 		DemandCap: demand,
 		Horizon:   *horizon,
+	}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
 	}
 	g, err := spec.Graph()
 	if err != nil {

@@ -1,4 +1,4 @@
-// Command inrppsim runs the chunk-level INRPP (or AIMD baseline)
+// Command inrppsim runs the chunk-level INRPP (or AIMD/ARC baseline)
 // simulator on a bottleneck chain or a built-in topology and prints the
 // protocol-level counters: phases, detours, custody occupancy and
 // back-pressure activity.
@@ -16,12 +16,13 @@ import (
 	"time"
 
 	"repro/internal/chunknet"
+	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
 
 func main() {
-	transportName := flag.String("transport", "inrpp", "transport: inrpp|aimd")
+	transportName := flag.String("transport", "inrpp", "transport: inrpp|aimd|arc")
 	ispName := flag.String("isp", "", "run on a built-in ISP topology instead of the chain")
 	chunks := flag.Int64("chunks", 2000, "chunks per transfer")
 	chunkSizeStr := flag.String("chunksize", "10MB", "chunk size")
@@ -32,36 +33,19 @@ func main() {
 	horizon := flag.Duration("horizon", 5*time.Second, "virtual time horizon")
 	flag.Parse()
 
-	var transport chunknet.Transport
-	switch *transportName {
-	case "inrpp":
-		transport = chunknet.INRPP
-	case "aimd":
-		transport = chunknet.AIMD
-	default:
-		fatal(fmt.Errorf("unknown transport %q", *transportName))
-	}
+	transport := must(sweep.ParseTransport(*transportName))
+	chunkSize := must(units.ParseByteSize(*chunkSizeStr))
+	custody := must(units.ParseByteSize(*custodyStr))
+	ingress := must(units.ParseBitRate(*ingressStr))
+	egress := must(units.ParseBitRate(*egressStr))
 
-	chunkSize := parseSize(*chunkSizeStr)
-	custody := parseSize(*custodyStr)
-	ingress := parseRate(*ingressStr)
-	egress := parseRate(*egressStr)
-
-	var g *topo.Graph
-	var src, dst topo.NodeID
+	// The chain is the sweep's custody bottleneck chain, so a one-off run
+	// is the topology a chunk-mode grid sweep would run.
+	g := sweep.ChunkSpec{IngressRate: ingress, EgressRate: egress}.Graph()
+	src, dst := topo.NodeID(0), topo.NodeID(2)
 	if *ispName != "" {
-		var err error
-		g, err = topo.BuildISP(topo.ISP(*ispName))
-		if err != nil {
-			fatal(err)
-		}
+		g = must(topo.BuildISP(topo.ISP(*ispName)))
 		src, dst = 0, topo.NodeID(g.NumNodes()-1)
-	} else {
-		g = topo.New("chain")
-		g.AddNodes(3)
-		g.MustAddLink(0, 1, ingress, time.Millisecond)
-		g.MustAddLink(1, 2, egress, time.Millisecond)
-		src, dst = 0, 2
 	}
 
 	s, err := chunknet.New(chunknet.Config{
@@ -103,16 +87,8 @@ func main() {
 	}
 }
 
-func parseSize(s string) units.ByteSize {
-	v, err := units.ParseByteSize(s)
-	if err != nil {
-		fatal(err)
-	}
-	return v
-}
-
-func parseRate(s string) units.BitRate {
-	v, err := units.ParseBitRate(s)
+// must returns v, or exits reporting err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fatal(err)
 	}

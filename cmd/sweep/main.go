@@ -21,16 +21,20 @@
 // Chunk mode also carries the failure model: -outage-kind/-outage-up/
 // -outage-down put churn on the bottleneck, -maintenance "1s-2s;4s-5s"
 // adds scheduled hard-down windows, -loss 0.01,0.05 makes the bottleneck
-// randomly lossy (axis), -detour-rate 1Gbps adds a failover diamond, and
-// with it -failover hold,reroute,both compares recovery strategies and
+// randomly lossy, -detour-rate 1Gbps adds a failover diamond, and with it
+// -failover hold,reroute,both compares recovery strategies and
 // -correlated true fails the detour together with the bottleneck (one
-// SRLG). Loss and correlation change the failure realization and join
-// the seed derivation; the failover axis does not, so every strategy
-// replays the identical failure trace.
+// SRLG).
 //
-// Anticipation, custody and failover are INRPP knobs: the AIMD/ARC
-// baselines run only at the first listed value of each instead of being
-// recomputed byte-identically per cell.
+// Each grid family is one table in grids.go, a row per flag: default,
+// point or label key, decoder into sweep.FlowSpec/ChunkSpec, whether the
+// axis joins the seed, its quiet value (an axis left there stays out of
+// the grid, keeping older grids' names, seeds and label) and whether it
+// is an INRPP-only knob (anticipation, custody, failover) whose AIMD/ARC
+// baselines run only at the first listed value. Flags, decoding, the
+// grid, seed rule, baseline collapse and checkpoint label are loops over
+// the rows, and every expanded cell passes the spec's Validate before
+// any scenario runs. To add an axis, add a row.
 //
 // With -checkpoint FILE every completed scenario is streamed to FILE as
 // one JSON line; rerunning with -resume restores those scenarios from
@@ -93,9 +97,10 @@
 // -exectrace FILE captures a runtime execution trace the same way. All
 // three flush on every exit path.
 //
-// The workload seed at each grid point is derived from the point minus
-// the comparison axis (policy in flow mode; transport/ac/custody in chunk
-// mode), so alternatives are measured under identical load; output is
+// The seed at each grid point is derived from the point's seed axes only
+// (the table's seed column), so the comparison axes — policy in flow
+// mode; transport, anticipation, custody and failover in chunk mode — are
+// measured under identical load and failure traces; output is
 // byte-identical for the same grid and seed at any -workers value and —
 // after -merge — at any -shard count.
 package main
@@ -110,17 +115,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/chunknet"
 	"repro/internal/obs"
 	"repro/internal/sweep"
-	"repro/internal/topo"
-	"repro/internal/units"
 )
 
 func main() {
@@ -128,7 +128,6 @@ func main() {
 	replicas := flag.Int("replicas", 3, "seed replicas per grid point")
 	seed := flag.Int64("seed", 1, "master sweep seed")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	horizon := flag.Duration("horizon", 0, "virtual time horizon per scenario (0 = mode default: 8s flow, 5s chunk)")
 	format := flag.String("format", "table", "output format: table|csv|json")
 	metricsList := flag.String("columns", "", "comma-separated metric subset to render (default: all)")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -156,34 +155,8 @@ func main() {
 	patience := flag.Duration("patience", 0, "work: give up after the coordinator has been unreachable this long (0 = 2m)")
 	workerName := flag.String("worker-name", "", "work: worker name in coordinator logs and /state (default host-pid)")
 
-	// Flow-mode axes and workload shape.
-	ispList := flag.String("isps", string(topo.Tiscali), "flow: comma-separated ISP topologies")
-	policyList := flag.String("policies", "sp,inrp", "flow: comma-separated policies: sp|ecmp|inrp")
-	flowsList := flag.String("flows", "60,120,180,240,300", "flow: comma-separated flow counts (offered-load axis)")
-	capStr := flag.String("capacity", "450Mbps", "flow: uniform link capacity override (0 = keep built-in)")
-	demandStr := flag.String("demand", "300Mbps", "flow: per-flow rate demand (0 = elastic)")
-	sizeStr := flag.String("size", "150MB", "flow: mean flow size (bounded Pareto)")
-	lambda := flag.Float64("lambda", 0, "flow: arrival rate (flows/s; 0 = flows/4)")
-
-	// Chunk-mode axes and chain shape.
-	transportList := flag.String("transports", "inrpp,aimd,arc", "chunk: comma-separated transports: inrpp|aimd|arc")
-	acList := flag.String("anticipations", "4096", "chunk: comma-separated INRPP anticipation windows (chunks)")
-	custodyList := flag.String("custody", "10GB", "chunk: comma-separated INRPP custody budgets")
-	transfersList := flag.String("transfers", "1", "chunk: comma-separated concurrent transfer counts (load axis)")
-	ingressStr := flag.String("ingress", "40Gbps", "chunk: chain ingress link rate")
-	egressStr := flag.String("egress", "2Gbps", "chunk: chain egress (bottleneck) link rate")
-	chunkSizeStr := flag.String("chunksize", "10MB", "chunk: chunk size")
-	chunks := flag.Int64("chunks", 2000, "chunk: chunks per transfer")
-	bufferStr := flag.String("buffer", "25MB", "chunk: AIMD/ARC drop-tail buffer")
-	outageKindStr := flag.String("outage-kind", "none", "chunk: egress-link churn family: none|fixed|exp (none keeps the link always up)")
-	outageUpList := flag.String("outage-up", "2s", "chunk: comma-separated mean up-phase durations (outage-rate axis; active with -outage-kind)")
-	outageDownList := flag.String("outage-down", "500ms", "chunk: comma-separated mean down-phase durations (axis)")
-	outageDownRateStr := flag.String("outage-downrate", "", "chunk: link capacity while down (empty = hard outage: arc pauses, in-flight packets drop)")
-	lossList := flag.String("loss", "0", "chunk: comma-separated egress per-packet loss probabilities (lossy-arc axis; 0 keeps the link lossless)")
-	failoverList := flag.String("failover", "hold", "chunk: comma-separated INRPP failover strategies: hold|reroute|both (axis; baselines keep the first value)")
-	detourRateStr := flag.String("detour-rate", "", "chunk: add a detour node beside the bottleneck with both links at this rate (empty = no detour; required by -failover reroute/both and -correlated)")
-	correlatedList := flag.String("correlated", "false", "chunk: comma-separated true|false — group the egress and detour-return links into one SRLG so they fail together (axis; needs -detour-rate)")
-	maintenanceStr := flag.String("maintenance", "", "chunk: scheduled egress hard-down windows, semicolon-separated \"start-end\" pairs (e.g. \"1s-2s;4s-5s\"); composes with -outage-kind churn")
+	// Grid flags: both families' axes and scalars, declared in grids.go.
+	registerGrids(flag.CommandLine)
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -240,59 +213,13 @@ func main() {
 		fatal(fmt.Errorf("unknown mode %q (known: flow, chunk, serve, work)", *mode))
 	}
 
-	var (
-		scenarios []sweep.Scenario
-		label     string
-	)
-	switch gridMode {
-	case "flow":
-		if *horizon == 0 {
-			*horizon = 8 * time.Second
-		}
-		scenarios = flowScenarios(flowArgs{
-			isps: *ispList, policies: *policyList, flows: *flowsList,
-			capacity: *capStr, demand: *demandStr, size: *sizeStr,
-			lambda: *lambda, horizon: *horizon, seed: *seed, replicas: *replicas,
-			obs: reg, trace: simTrace,
-		})
-		label = fmt.Sprintf("flow capacity=%s demand=%s size=%s lambda=%g horizon=%s",
-			*capStr, *demandStr, *sizeStr, *lambda, *horizon)
-	case "chunk":
-		if *horizon == 0 {
-			*horizon = 5 * time.Second
-		}
-		scenarios = chunkScenarios(chunkArgs{
-			transports: *transportList, acs: *acList, custody: *custodyList,
-			transfers: *transfersList, ingress: *ingressStr, egress: *egressStr,
-			chunkSize: *chunkSizeStr, chunks: *chunks, buffer: *bufferStr,
-			outageKind: *outageKindStr, outageUps: *outageUpList,
-			outageDowns: *outageDownList, outageDownRate: *outageDownRateStr,
-			losses: *lossList, failovers: *failoverList, detourRate: *detourRateStr,
-			correlated: *correlatedList, maintenance: *maintenanceStr,
-			horizon: *horizon, seed: *seed, replicas: *replicas,
-			obs: reg, trace: simTrace,
-		})
-		label = fmt.Sprintf("chunk ingress=%s egress=%s chunksize=%s chunks=%d buffer=%s horizon=%s",
-			*ingressStr, *egressStr, *chunkSizeStr, *chunks, *bufferStr, *horizon)
-		// Failure-free labels keep their pre-outage bytes, so old
-		// checkpoints still resume and merge. Scalar failure knobs join the
-		// label (axes are already part of every scenario name).
-		if kind := mustOutageKind(*outageKindStr); kind != topo.OutageNone {
-			label += fmt.Sprintf(" outage=%s downrate=%s", kind, *outageDownRateStr)
-		}
-		if *maintenanceStr != "" {
-			label += fmt.Sprintf(" maintenance=%s", *maintenanceStr)
-		}
-		if *detourRateStr != "" {
-			label += fmt.Sprintf(" detour=%s", *detourRateStr)
-		}
-	default:
-		fatal(fmt.Errorf("unknown grid %q (known: flow, chunk)", gridMode))
+	scenarios, label, err := expandGrid(flag.CommandLine, gridMode, *seed, *replicas, reg, simTrace)
+	if err != nil {
+		fatal(err)
 	}
 
 	var shard sweep.Shard
 	if *shardStr != "" {
-		var err error
 		if shard, err = sweep.ParseShard(*shardStr); err != nil {
 			fatal(err)
 		}
@@ -372,7 +299,6 @@ func main() {
 	}
 	var cp *sweep.Checkpoint
 	if *checkpointPath != "" {
-		var err error
 		if cp, err = sweep.NewCheckpoint(*checkpointPath, label); err != nil {
 			fatal(err)
 		}
@@ -386,10 +312,7 @@ func main() {
 	// restored records from the checkpoint file as the accumulator
 	// reaches them, never materialising them all at once.
 	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
-	var (
-		failed []sweep.Result
-		err    error
-	)
+	var failed []sweep.Result
 	if *resume {
 		_, failed, err = runner.ResumeCheckpointAccumulate(context.Background(), *checkpointPath, label, scenarios, acc,
 			func(restored int) {
@@ -548,341 +471,6 @@ func render(format, metricsList, tableTitle string, acc *sweep.Accumulator) {
 	default:
 		fatal(fmt.Errorf("unknown format %q (known: table, csv, json)", format))
 	}
-}
-
-type flowArgs struct {
-	isps, policies, flows  string
-	capacity, demand, size string
-	lambda                 float64
-	horizon                time.Duration
-	seed                   int64
-	replicas               int
-	obs                    *obs.Registry
-	trace                  *obs.Trace
-}
-
-// flowScenarios expands the flow-level grid: the workload seed at each
-// point is derived from the point minus the policy axis, so every policy
-// is measured on identical flows.
-func flowScenarios(a flowArgs) []sweep.Scenario {
-	capacity, err := units.ParseBitRate(a.capacity)
-	if err != nil {
-		fatal(err)
-	}
-	demand, err := units.ParseBitRate(a.demand)
-	if err != nil {
-		fatal(err)
-	}
-	meanSize, err := units.ParseByteSize(a.size)
-	if err != nil {
-		fatal(err)
-	}
-
-	isps := axis("isps", a.isps)
-	for _, isp := range isps {
-		if _, err := topo.BuildISP(topo.ISP(isp)); err != nil {
-			fatal(fmt.Errorf("%w (known: %v)", err, topo.ISPs()))
-		}
-	}
-	pols := axis("policies", a.policies)
-	for _, p := range pols {
-		if _, err := sweep.ParsePolicy(p); err != nil {
-			fatal(err)
-		}
-	}
-	flows := axis("flows", a.flows)
-	for _, f := range flows {
-		if n, err := strconv.Atoi(f); err != nil || n <= 0 {
-			fatal(fmt.Errorf("bad -flows entry %q: want a positive flow count", f))
-		}
-	}
-
-	grid := sweep.NewGrid().
-		Axis("isp", isps...).
-		Axis("flows", flows...).
-		Axis("policy", pols...).
-		SeedAxes("isp", "flows")
-	scenarios := grid.Expand(a.seed, a.replicas,
-		func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
-			n, _ := strconv.Atoi(pt.Get("flows"))
-			spec := sweep.FlowSpec{
-				ISP:        topo.ISP(pt.Get("isp")),
-				Capacity:   capacity,
-				Policy:     sweep.MustParsePolicy(pt.Get("policy")),
-				Flows:      n,
-				Lambda:     a.lambda,
-				MeanSize:   meanSize,
-				DemandCap:  demand,
-				Horizon:    a.horizon,
-				Obs:        a.obs,
-				Trace:      a.trace,
-				TraceLabel: sweep.ScenarioName(pt, replica),
-			}
-			return spec.Run(seed)
-		})
-	return scenarios
-}
-
-type chunkArgs struct {
-	transports, acs, custody, transfers string
-	ingress, egress, chunkSize, buffer  string
-	outageKind, outageUps, outageDowns  string
-	outageDownRate                      string
-	losses, failovers                   string
-	detourRate, correlated, maintenance string
-	chunks                              int64
-	horizon                             time.Duration
-	seed                                int64
-	replicas                            int
-	obs                                 *obs.Registry
-	trace                               *obs.Trace
-}
-
-// mustOutageKind parses -outage-kind or dies.
-func mustOutageKind(s string) topo.OutageKind {
-	kind, err := topo.ParseOutageKind(s)
-	if err != nil {
-		fatal(err)
-	}
-	return kind
-}
-
-// chunkScenarios expands the chunk-level grid over the custody bottleneck
-// chain. The seed is derived from the transfers axis alone, so every
-// transport/anticipation/custody combination sees identical start jitter
-// at each load level and replica.
-func chunkScenarios(a chunkArgs) []sweep.Scenario {
-	ingress, err := units.ParseBitRate(a.ingress)
-	if err != nil {
-		fatal(err)
-	}
-	egress, err := units.ParseBitRate(a.egress)
-	if err != nil {
-		fatal(err)
-	}
-	chunkSize, err := units.ParseByteSize(a.chunkSize)
-	if err != nil {
-		fatal(err)
-	}
-	buffer, err := units.ParseByteSize(a.buffer)
-	if err != nil {
-		fatal(err)
-	}
-
-	if a.chunks < 0 {
-		fatal(fmt.Errorf("bad -chunks %d: want a non-negative count (0 = default)", a.chunks))
-	}
-	transports := axis("transports", a.transports)
-	for _, tr := range transports {
-		if _, err := sweep.ParseTransport(tr); err != nil {
-			fatal(err)
-		}
-	}
-	acs := axis("anticipations", a.acs)
-	for _, ac := range acs {
-		if n, err := strconv.ParseInt(ac, 10, 64); err != nil || n < 0 {
-			fatal(fmt.Errorf("bad -anticipations entry %q: want a non-negative window (0 = default)", ac))
-		}
-	}
-	custodies := axis("custody", a.custody)
-	for _, c := range custodies {
-		if _, err := units.ParseByteSize(c); err != nil {
-			fatal(fmt.Errorf("bad -custody entry %q: %w", c, err))
-		}
-	}
-	transfers := axis("transfers", a.transfers)
-	for _, n := range transfers {
-		if v, err := strconv.Atoi(n); err != nil || v < 0 {
-			fatal(fmt.Errorf("bad -transfers entry %q: want a non-negative count (0 = default)", n))
-		}
-	}
-	outageKind := mustOutageKind(a.outageKind)
-	var (
-		outageUps, outageDowns []string
-		outageDownRate         units.BitRate
-	)
-	if outageKind != topo.OutageNone {
-		outageUps, outageDowns = axis("outage-up", a.outageUps), axis("outage-down", a.outageDowns)
-		for _, d := range slices.Concat(outageUps, outageDowns) {
-			if _, err := time.ParseDuration(d); err != nil {
-				fatal(fmt.Errorf("bad outage duration %q: %w", d, err))
-			}
-		}
-		if a.outageDownRate != "" {
-			var err error
-			if outageDownRate, err = units.ParseBitRate(a.outageDownRate); err != nil {
-				fatal(fmt.Errorf("bad -outage-downrate: %w", err))
-			}
-		}
-	}
-
-	// Failure knobs, all validated here so a bad value dies at flag-parse
-	// time instead of mid-sweep. Each axis only joins the grid when its
-	// flag moves off the quiet default, keeping failure-free scenario
-	// names, seeds and output bytes exactly as they were.
-	losses := axis("loss", a.losses)
-	lossAxis := false
-	for _, l := range losses {
-		p, err := strconv.ParseFloat(l, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad -loss entry %q: %w", l, err))
-		}
-		if err := topo.ValidateLossProb(p); err != nil {
-			fatal(fmt.Errorf("bad -loss entry %q: %w", l, err))
-		}
-		if p > 0 {
-			lossAxis = true
-		}
-	}
-	failovers := axis("failover", a.failovers)
-	failoverAxis := false
-	for _, f := range failovers {
-		mode, err := chunknet.ParseFailoverMode(f)
-		if err != nil {
-			fatal(err)
-		}
-		if mode != chunknet.FailoverHold {
-			failoverAxis = true
-		}
-	}
-	var detourRate units.BitRate
-	if a.detourRate != "" {
-		var err error
-		if detourRate, err = units.ParseBitRate(a.detourRate); err != nil {
-			fatal(fmt.Errorf("bad -detour-rate: %w", err))
-		}
-	}
-	if failoverAxis && detourRate == 0 {
-		fatal(fmt.Errorf("-failover reroute/both needs a detour path: set -detour-rate"))
-	}
-	correlateds := axis("correlated", a.correlated)
-	correlatedAxis := false
-	for _, c := range correlateds {
-		v, err := strconv.ParseBool(c)
-		if err != nil {
-			fatal(fmt.Errorf("bad -correlated entry %q: %w", c, err))
-		}
-		if v {
-			correlatedAxis = true
-		}
-	}
-	if correlatedAxis && detourRate == 0 {
-		fatal(fmt.Errorf("-correlated groups the egress with the detour-return link: set -detour-rate"))
-	}
-	if correlatedAxis && outageKind == topo.OutageNone && a.maintenance == "" {
-		fatal(fmt.Errorf("-correlated needs a failure process: set -outage-kind and/or -maintenance"))
-	}
-	var maintenance []topo.Window
-	if a.maintenance != "" {
-		var err error
-		if maintenance, err = topo.ParseWindows(a.maintenance); err != nil {
-			fatal(fmt.Errorf("bad -maintenance: %w", err))
-		}
-		if err := (topo.CalendarSpec{Windows: maintenance}).Validate(); err != nil {
-			fatal(fmt.Errorf("bad -maintenance: %w", err))
-		}
-	}
-
-	// The churn axes only exist when churn is on, so churn-free grids —
-	// their scenario names, seeds and output bytes — stay exactly as they
-	// were before outage support. Outage axes join the seed derivation:
-	// every transport/ac/custody cell replays the identical outage trace
-	// at each (up, down, transfers) point.
-	grid := sweep.NewGrid().
-		Axis("transport", transports...).
-		Axis("ac", acs...).
-		Axis("custody", custodies...).
-		Axis("transfers", transfers...)
-	seedAxes := []string{"transfers"}
-	if outageKind != topo.OutageNone {
-		grid.Axis("outage_up", outageUps...).
-			Axis("outage_down", outageDowns...)
-		seedAxes = append(seedAxes, "outage_up", "outage_down")
-	}
-	// The loss and correlation axes change the failure realization, so
-	// they join the seed derivation; the failover axis must NOT — the
-	// whole point is that every strategy replays the identical failure
-	// trace.
-	if lossAxis {
-		grid.Axis("loss", losses...)
-		seedAxes = append(seedAxes, "loss")
-	}
-	if correlatedAxis {
-		grid.Axis("correlated", correlateds...)
-		seedAxes = append(seedAxes, "correlated")
-	}
-	if failoverAxis {
-		grid.Axis("failover", failovers...)
-	}
-	grid.SeedAxes(seedAxes...)
-	scenarios := grid.Expand(a.seed, a.replicas,
-		func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
-			ac, _ := strconv.ParseInt(pt.Get("ac"), 10, 64)
-			custody, _ := units.ParseByteSize(pt.Get("custody"))
-			transfers, _ := strconv.Atoi(pt.Get("transfers"))
-			spec := sweep.ChunkSpec{
-				Transport:    sweep.MustParseTransport(pt.Get("transport")),
-				IngressRate:  ingress,
-				EgressRate:   egress,
-				ChunkSize:    chunkSize,
-				Anticipation: ac,
-				Custody:      custody,
-				Buffer:       buffer,
-				Transfers:    transfers,
-				Chunks:       a.chunks,
-				Horizon:      a.horizon,
-				DetourRate:   detourRate,
-				Maintenance:  maintenance,
-				Obs:          a.obs,
-				Trace:        a.trace,
-				TraceLabel:   sweep.ScenarioName(pt, replica),
-			}
-			if outageKind != topo.OutageNone {
-				up, _ := time.ParseDuration(pt.Get("outage_up"))
-				down, _ := time.ParseDuration(pt.Get("outage_down"))
-				spec.Outage = topo.OutageSpec{
-					Kind: outageKind, Up: up, Down: down, DownRate: outageDownRate,
-				}
-			}
-			if lossAxis {
-				spec.Loss, _ = strconv.ParseFloat(pt.Get("loss"), 64)
-			}
-			if correlatedAxis {
-				spec.Correlated, _ = strconv.ParseBool(pt.Get("correlated"))
-			}
-			if failoverAxis {
-				spec.Failover, _ = chunknet.ParseFailoverMode(pt.Get("failover"))
-			}
-			return spec.Run(seed)
-		})
-
-	// Anticipation, custody and failover are INRPP knobs: AIMD and ARC
-	// would run byte-identically at every such cell. Baselines keep only
-	// the first listed value of each, so wide INRPP grids don't multiply
-	// baseline wall-clock (or duplicate their rows) for free.
-	kept := scenarios[:0]
-	for _, sc := range scenarios {
-		if sc.Point.Get("transport") != "inrpp" {
-			if sc.Point.Get("ac") != acs[0] || sc.Point.Get("custody") != custodies[0] {
-				continue
-			}
-			if failoverAxis && sc.Point.Get("failover") != failovers[0] {
-				continue
-			}
-		}
-		kept = append(kept, sc)
-	}
-	return kept
-}
-
-// axis splits a comma-separated grid-axis flag, dying when it names no
-// value: an empty axis would expand to a silent 0-scenario table.
-func axis(flag, s string) []string {
-	values := split(s)
-	if len(values) == 0 {
-		fatal(fmt.Errorf("-%s: empty list", flag))
-	}
-	return values
 }
 
 // split parses a comma-separated list, trimming blanks.

@@ -279,8 +279,9 @@ func TestSweepShardMerge(t *testing.T) {
 }
 
 // TestSweepBadEntriesFailAtParse: a grid entry no scenario can run — a
-// non-positive flow count, a negative count or window, an empty axis —
-// must stop the sweep at flag parse with an error naming its flag, never
+// non-positive flow count, a negative count, rate, size or duration, an
+// unknown enum value, an empty axis, a failover or correlation without
+// its detour — must stop the sweep at flag parse with an error naming its flag, never
 // reach the simulators (where -flows 0 panicked every scenario) or exit 0
 // with an empty or all-zero table. A removed flag fails the same way.
 func TestSweepBadEntriesFailAtParse(t *testing.T) {
@@ -304,6 +305,31 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		{"-transports", append(chunk, "-transports", "")},
 		{"-custody", append(chunk, "-custody", "")},
 		{"-outage-up", append(chunk, "-outage-kind", "exp", "-outage-up", "")},
+		// Negative rates, sizes, durations and horizons, and loss outside
+		// [0,1], are rejected by the specs' Validate at parse time.
+		{"-capacity", append(flow, "-capacity", "-1Mbps")},
+		{"-demand", append(flow, "-demand", "-5Mbps")},
+		{"-size", append(flow, "-size", "-10MB")},
+		{"-lambda", append(flow, "-lambda", "-3")},
+		{"-horizon", append(flow, "-horizon", "-1s")},
+		{"-horizon", append(chunk, "-horizon", "-1s")},
+		{"-egress", append(chunk, "-egress", "-2Gbps")},
+		{"-custody", append(chunk, "-custody", "-1GB")},
+		{"-buffer", append(chunk, "-buffer", "-5MB")},
+		{"-detour-rate", append(chunk, "-detour-rate", "-1Gbps")},
+		{"-outage-up", append(chunk, "-outage-kind", "exp", "-outage-up", "-1s")},
+		{"-loss", append(chunk, "-loss", "1.5")},
+		{"-maintenance", append(chunk, "-maintenance", "2s-1s")},
+		// Bad enum values name their flag too.
+		{"-transports", append(chunk, "-transports", "foo")},
+		{"-failover", append(chunk, "-failover", "bogus")},
+		{"-policies", append(flow, "-policies", "sp,bogus")},
+		{"-isps", append(flow, "-isps", "Nowhere")},
+		// Cross-field rules: failover and correlation need a detour, and
+		// correlation a failure process.
+		{"-failover", append(chunk, "-failover", "hold,reroute")},
+		{"-correlated", append(chunk, "-correlated", "true")},
+		{"-correlated", append(chunk, "-detour-rate", "1Gbps", "-correlated", "true")},
 		{"-agg", append(flow, "-agg", "exact")}, // removed: the fold is always exact
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()

@@ -167,11 +167,62 @@ func (s ChunkSpec) Graph() *topo.Graph {
 	return g
 }
 
-// Simulate runs the spec once with the given seed and returns the full
-// chunknet report. The seed only drives transfer start jitter, so two
-// transports at the same seed see identical offered load.
+// Validate rejects a spec no run can use: a negative rate, size, count or
+// duration, a loss probability outside [0,1], an invalid outage process or
+// maintenance calendar, failover or correlation without the detour path
+// they act on, and correlation without a failure process to share.
+// Simulate calls it, so every caller meets the same boundary.
+func (s ChunkSpec) Validate() error {
+	if err := firstNegative(
+		nonNegative{"IngressRate", float64(s.IngressRate)},
+		nonNegative{"EgressRate", float64(s.EgressRate)},
+		nonNegative{"ChunkSize", float64(s.ChunkSize)},
+		nonNegative{"Anticipation", float64(s.Anticipation)},
+		nonNegative{"Custody", float64(s.Custody)},
+		nonNegative{"Buffer", float64(s.Buffer)},
+		nonNegative{"Transfers", float64(s.Transfers)},
+		nonNegative{"Chunks", float64(s.Chunks)},
+		nonNegative{"StartSpread", float64(s.StartSpread)},
+		nonNegative{"Horizon", float64(s.Horizon)},
+		nonNegative{"Ti", float64(s.Ti)},
+		nonNegative{"RTO", float64(s.RTO)},
+		nonNegative{"Outage.Up", float64(s.Outage.Up)},
+		nonNegative{"Outage.Down", float64(s.Outage.Down)},
+		nonNegative{"Outage.DownRate", float64(s.Outage.DownRate)},
+		nonNegative{"DetourRate", float64(s.DetourRate)},
+	); err != nil {
+		return err
+	}
+	if err := topo.ValidateLossProb(s.Loss); err != nil {
+		return &FieldError{Field: "Loss", Reason: err.Error()}
+	}
+	if err := s.Outage.Validate(); err != nil {
+		return &FieldError{Field: "Outage", Reason: err.Error()}
+	}
+	cal := topo.CalendarSpec{Windows: s.Maintenance}
+	if err := cal.Validate(); err != nil {
+		return &FieldError{Field: "Maintenance", Reason: err.Error()}
+	}
+	if s.Failover != chunknet.FailoverHold && s.DetourRate == 0 {
+		return &FieldError{Field: "Failover", Reason: s.Failover.String() + " needs a detour path: set DetourRate"}
+	}
+	if s.Correlated && s.DetourRate == 0 {
+		return &FieldError{Field: "Correlated", Reason: "groups the egress with the detour-return link: set DetourRate"}
+	}
+	if s.Correlated && !s.Outage.Enabled() && !cal.Enabled() {
+		return &FieldError{Field: "Correlated", Reason: "needs a failure process: set Outage and/or Maintenance"}
+	}
+	return nil
+}
+
+// Simulate validates the spec, runs it once with the given seed and
+// returns the full chunknet report. The seed only drives transfer start
+// jitter, so two transports at the same seed see identical offered load.
 func (s ChunkSpec) Simulate(seed int64) (*chunknet.Report, error) {
 	s.applyDefaults()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	cfg := chunknet.Config{
 		Graph:        s.Graph(),
 		Transport:    s.Transport,

@@ -79,12 +79,58 @@ func (s FlowSpec) Workload(g *topo.Graph, seed int64) []workload.Flow {
 	})
 }
 
-// Simulate builds the topology and workload from seed and runs flowsim,
-// returning the full result. Trace generation is memoized across calls:
-// scenarios handed the same workload seed at the same spec (a grid whose
-// SeedAxes exclude the policy axis) share one generated trace instead of
-// regenerating it per policy.
+// FieldError reports the spec field a Validate call rejected, so a caller
+// that filled the spec from flags can name the flag at fault.
+type FieldError struct {
+	// Field is the Go field path, e.g. "EgressRate" or "Outage.Up".
+	Field  string
+	Reason string
+}
+
+func (e *FieldError) Error() string { return "sweep: invalid " + e.Field + ": " + e.Reason }
+
+// nonNegative is one field of a spec's sign check.
+type nonNegative struct {
+	field string
+	v     float64
+}
+
+// firstNegative returns a FieldError for the first field below zero (or
+// NaN), nil when all are valid. It allocates only on failure.
+func firstNegative(fields ...nonNegative) error {
+	for _, f := range fields {
+		if !(f.v >= 0) {
+			return &FieldError{Field: f.field, Reason: "must not be negative"}
+		}
+	}
+	return nil
+}
+
+// Validate rejects a spec no run can use: a non-positive flow count or a
+// negative capacity, demand, size, arrival rate or horizon. Simulate calls
+// it, so every caller meets the same boundary.
+func (s FlowSpec) Validate() error {
+	if s.Flows <= 0 {
+		return &FieldError{Field: "Flows", Reason: "must be positive"}
+	}
+	return firstNegative(
+		nonNegative{"Capacity", float64(s.Capacity)},
+		nonNegative{"Lambda", s.Lambda},
+		nonNegative{"MeanSize", float64(s.MeanSize)},
+		nonNegative{"DemandCap", float64(s.DemandCap)},
+		nonNegative{"Horizon", float64(s.Horizon)},
+	)
+}
+
+// Simulate validates the spec, builds the topology and workload from seed
+// and runs flowsim, returning the full result. Trace generation is
+// memoized across calls: scenarios handed the same workload seed at the
+// same spec (a grid whose SeedAxes exclude the policy axis) share one
+// generated trace instead of regenerating it per policy.
 func (s FlowSpec) Simulate(seed int64) (*flowsim.Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	g, err := s.Graph()
 	if err != nil {
 		return nil, err
