@@ -20,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/chunknet"
@@ -36,6 +38,9 @@ func main() {
 	format := flag.String("format", "table", "output format: table|csv")
 	quick := flag.Bool("quick", false, "reduced fig4/custody scale for a fast pass")
 	flag.Parse()
+	if err := checkFlags(*run, *format, *seeds); err != nil {
+		fatal(err)
+	}
 
 	emit := func(t *report.Table) {
 		var err error
@@ -159,6 +164,26 @@ func main() {
 		}
 		emit(experiments.FailoverReport(r))
 	}
+}
+
+// experimentNames lists the values -run accepts.
+var experimentNames = []string{"all", "table1", "fig4a", "fig4b", "fig3", "custody", "disruption", "failover"}
+
+// checkFlags rejects flag values no experiment can honour, before any
+// experiment runs: an unknown -run would print nothing, an unknown
+// -format would fall back to a text table, and -seeds below 1 would run
+// one seed.
+func checkFlags(run, format string, seeds int) error {
+	if !slices.Contains(experimentNames, run) {
+		return fmt.Errorf("-run %q: unknown experiment (known: %s)", run, strings.Join(experimentNames, ", "))
+	}
+	if format != "table" && format != "csv" {
+		return fmt.Errorf("-format %q: unknown format (known: table, csv)", format)
+	}
+	if seeds < 1 {
+		return fmt.Errorf("-seeds %d: need at least one seed", seeds)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -1,0 +1,50 @@
+package main
+
+import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// TestBadFlagsFailAtParse: a flag value no experiment can honour must stop
+// the command before any experiment runs, with a non-zero exit and an
+// error naming the flag — never exit 0 with no output, fall back to a
+// text table, or silently run one seed.
+func TestBadFlagsFailAtParse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-run", []string{"-run", "bogus"}},
+		{"-run", []string{"-run", ""}},
+		{"-format", []string{"-run", "table1", "-format", "xml"}},
+		{"-format", []string{"-run", "table1", "-format", "json"}},
+		{"-seeds", []string{"-run", "fig4a", "-quick", "-seeds", "-2"}},
+		{"-seeds", []string{"-run", "fig4a", "-quick", "-seeds", "0"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%v: exited 0, want a flag error", tc.args)
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran before rejecting the flag:\n%s", tc.args, stdout.String())
+		}
+		if !bytes.Contains(stderr.Bytes(), []byte(tc.flag)) {
+			t.Errorf("%v: error does not name %s:\n%s", tc.args, tc.flag, stderr.String())
+		}
+	}
+	if out, err := exec.Command(bin, "-run", "table1", "-format", "csv").CombinedOutput(); err != nil {
+		t.Errorf("-run table1 -format csv: %v\n%s", err, out)
+	}
+}

@@ -12,18 +12,20 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/chunknet"
+	"repro/internal/sweep"
+	"repro/internal/units"
 )
 
 func main() {
 	// src --4Gbps-- router --200Mbps-- receiver, 600MB offered.
-	spec := repro.ChunkSweepSpec{
-		IngressRate:  4 * repro.Gbps,
-		EgressRate:   200 * repro.Mbps,
-		ChunkSize:    repro.MB,
+	spec := sweep.ChunkSpec{
+		IngressRate:  4 * units.Gbps,
+		EgressRate:   200 * units.Mbps,
+		ChunkSize:    units.MB,
 		Anticipation: 512,
-		Custody:      repro.GB,     // INRPP custody budget at the router
-		Buffer:       2 * repro.MB, // AIMD/ARC drop-tail buffer
+		Custody:      units.GB,     // INRPP custody budget at the router
+		Buffer:       2 * units.MB, // AIMD/ARC drop-tail buffer
 		Chunks:       600,
 		Horizon:      30 * time.Second,
 		Ti:           20 * time.Millisecond,
@@ -32,28 +34,28 @@ func main() {
 	fmt.Println("pushing 600MB through a 4Gbps→200Mbps bottleneck chain")
 	fmt.Println()
 
-	grid := repro.NewSweepGrid().Axis("transport", "inrpp", "aimd", "arc")
+	grid := sweep.NewGrid().Axis("transport", "inrpp", "aimd", "arc")
 	scenarios := grid.Expand(1, 1,
-		func(pt repro.SweepPoint, replica int, seed int64) repro.SweepRunFunc {
+		func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
 			s := spec
-			s.Transport = repro.MustParseChunkTransport(pt.Get("transport"))
+			s.Transport = sweep.MustParseTransport(pt.Get("transport"))
 			return s.Run(seed)
 		})
-	results := repro.RunSweep(context.Background(), 0, scenarios)
+	results := (&sweep.Runner{}).Run(context.Background(), scenarios)
 
 	for _, r := range results {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}
 		v := r.Metrics.Values
-		transport := repro.MustParseChunkTransport(r.Point.Get("transport"))
+		transport := sweep.MustParseTransport(r.Point.Get("transport"))
 		fmt.Printf("%s\n", transport)
 		fmt.Printf("  delivered    %.0f/600 chunks\n", v["delivered"])
 		fmt.Printf("  dropped      %.0f\n", v["dropped"])
 		fmt.Printf("  retransmits  %.0f\n", v["retransmits"])
-		if transport == repro.INRPP {
+		if transport == chunknet.INRPP {
 			fmt.Printf("  custody peak %v, mean residency %.2fs\n",
-				repro.ByteSize(v["custody_peak_bytes"]), v["residency_mean_s"])
+				units.ByteSize(v["custody_peak_bytes"]), v["residency_mean_s"])
 			fmt.Printf("  back-pressure: %.0f notifications, %.0f closed-loop entries\n",
 				v["backpressure"], v["closed_loop"])
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -16,11 +15,11 @@ import (
 func main() {
 	const isp = topo.Sprint
 
-	g, err := repro.BuildISP(isp)
+	g, err := topo.BuildISP(isp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := repro.AnalyzeDetours(g)
+	prof := route.Analyze(g)
 	paper, err := topo.PaperDetourProfile(isp)
 	if err != nil {
 		log.Fatal(err)

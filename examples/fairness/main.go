@@ -8,11 +8,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/experiments"
+	"repro/internal/topo"
 )
 
 func main() {
-	g := repro.Fig3Topology()
+	g := topo.Fig3()
 	fmt.Println("Figure 3 topology:")
 	fmt.Println("  src --10Mbps-- r --2Mbps-- dstA   (bottleneck)")
 	fmt.Println("                 |    ^")
@@ -21,7 +22,7 @@ func main() {
 	fmt.Println("                 +--10Mbps-- dstB")
 	fmt.Printf("  (%d nodes, %d links)\n\n", g.NumNodes(), g.NumLinks())
 
-	res, err := repro.Fig3Fairness()
+	res, err := experiments.Fig3()
 	if err != nil {
 		log.Fatal(err)
 	}

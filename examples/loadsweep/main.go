@@ -15,7 +15,8 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/sweep"
+	"repro/internal/units"
 )
 
 func main() {
@@ -26,32 +27,32 @@ func main() {
 	loads := []string{"60", "120", "180", "240", "300"}
 	// SeedAxes("flows") pairs the workload seed across the policy axis:
 	// SP and INRP are compared on identical flows at each replica.
-	grid := repro.NewSweepGrid().
+	grid := sweep.NewGrid().
 		Axis("flows", loads...).
 		Axis("policy", "SP", "INRP").
 		SeedAxes("flows")
 	scenarios := grid.Expand(masterSeed, replicas,
-		func(pt repro.SweepPoint, replica int, seed int64) repro.SweepRunFunc {
-			spec := repro.FlowSweepSpec{
+		func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
+			spec := sweep.FlowSpec{
 				ISP:       "Tiscali (EU)",
-				Capacity:  450 * repro.Mbps,
-				MeanSize:  150 * repro.MB,
-				DemandCap: 300 * repro.Mbps,
+				Capacity:  450 * units.Mbps,
+				MeanSize:  150 * units.MB,
+				DemandCap: 300 * units.Mbps,
 				Horizon:   8 * time.Second,
 			}
 			fmt.Sscanf(pt.Get("flows"), "%d", &spec.Flows)
-			spec.Policy = repro.MustParseFlowPolicy(pt.Get("policy"))
+			spec.Policy = sweep.MustParsePolicy(pt.Get("policy"))
 			return spec.Run(seed)
 		})
 
-	results := repro.RunSweep(context.Background(), 0, scenarios)
+	results := (&sweep.Runner{}).Run(context.Background(), scenarios)
 	for _, r := range results {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}
 	}
-	aggs := repro.AggregateSweep(results)
-	find := func(flows, policy string) *repro.SweepAggregate {
+	aggs := sweep.Aggregated(results)
+	find := func(flows, policy string) *sweep.Aggregate {
 		for i := range aggs {
 			if aggs[i].Point.Get("flows") == flows && aggs[i].Point.Get("policy") == policy {
 				return &aggs[i]

@@ -19,15 +19,3 @@ func BenchmarkCustodyOfferPop(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLRUGetPut(b *testing.B) {
-	l := NewLRU(units.MB)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := uint64(i % 500)
-		if !l.Get(key) {
-			l.Put(key, 4*units.KB)
-		}
-	}
-}

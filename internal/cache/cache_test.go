@@ -131,75 +131,3 @@ func TestCustodyMeanOccupancy(t *testing.T) {
 		t.Errorf("mean occupancy = %v, want 50", got)
 	}
 }
-
-func TestLRUBasics(t *testing.T) {
-	l := NewLRU(100)
-	l.Put(1, 40)
-	l.Put(2, 40)
-	if !l.Get(1) || !l.Get(2) {
-		t.Fatal("both objects should be cached")
-	}
-	l.Put(3, 40) // evicts key 1 (LRU after the Get sequence... key 1 was refreshed first, so key 1 is older than 2)
-	if l.Get(1) {
-		t.Error("key 1 should have been evicted")
-	}
-	if !l.Get(2) || !l.Get(3) {
-		t.Error("keys 2 and 3 should remain")
-	}
-	if l.Used() != 80 || l.Len() != 2 {
-		t.Errorf("used/len = %v/%d, want 80/2", l.Used(), l.Len())
-	}
-}
-
-func TestLRUHitRatio(t *testing.T) {
-	l := NewLRU(100)
-	if l.HitRatio() != 0 {
-		t.Error("initial hit ratio should be 0")
-	}
-	l.Put(1, 10)
-	l.Get(1) // hit
-	l.Get(2) // miss
-	if l.HitRatio() != 0.5 {
-		t.Errorf("hit ratio = %v, want 0.5", l.HitRatio())
-	}
-}
-
-func TestLRURejectsOversized(t *testing.T) {
-	l := NewLRU(10)
-	l.Put(1, 11)
-	if l.Contains(1) || l.Used() != 0 {
-		t.Error("oversized object should not be admitted")
-	}
-}
-
-func TestLRUCapacityInvariant(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := units.ByteSize(1 + rng.Intn(1000))
-		l := NewLRU(capacity)
-		for i := 0; i < 300; i++ {
-			switch rng.Intn(3) {
-			case 0, 1:
-				l.Put(uint64(rng.Intn(50)), units.ByteSize(1+rng.Intn(100)))
-			case 2:
-				l.Get(uint64(rng.Intn(50)))
-			}
-			if l.Used() > capacity || l.Used() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLRURefreshDoesNotDuplicate(t *testing.T) {
-	l := NewLRU(100)
-	l.Put(1, 30)
-	l.Put(1, 30)
-	if l.Len() != 1 || l.Used() != 30 {
-		t.Errorf("refresh duplicated: len=%d used=%v", l.Len(), l.Used())
-	}
-}

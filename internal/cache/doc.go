@@ -1,7 +1,6 @@
 // Package cache implements the in-network storage substrate of INRPP:
 // the custody store that routers use to take temporary custody of chunks
-// at a bottleneck (store-and-forward), plus a classic LRU content store
-// for the ICN caching comparison.
+// at a bottleneck (store-and-forward).
 //
 // The custody store is the quantity behind the paper's §3.3 sizing claim
 // ("a 10GB cache after a 40Gbps link can hold incoming traffic for 2

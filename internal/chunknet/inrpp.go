@@ -414,10 +414,10 @@ func (s *Sim) checkBackpressure(a *arcState, p *packet) {
 	s.mBpOn.Inc()
 	s.emitTrace("backpressure_on", p.flow, a.name, p.seq, a.occupancyFraction())
 	// Ask the upstream for the store's drain rate: conservative, so the
-	// occupancy stops growing immediately. (CustodyTarget would allow the
-	// remaining custody headroom to keep absorbing, but the allowance is
-	// only safe if re-signalled every horizon; a one-shot notification
-	// must not over-promise.)
+	// occupancy stops growing immediately. (Asking for the drain rate plus
+	// free custody bits / horizon would let the remaining headroom keep
+	// absorbing, but that allowance is only safe if re-signalled every
+	// horizon; a one-shot notification must not over-promise.)
 	p2 := s.newPacket()
 	p2.kind = pktBpOn
 	p2.size = s.cfg.RequestSize

@@ -16,9 +16,13 @@
 //     the notification propagates toward the sender, which falls back to a
 //     closed loop (1-to-1 flow balance).
 //
-// The package is pure protocol logic with no event loop of its own: the
-// flow-level simulator (internal/flowsim) and the chunk-level simulator
-// (internal/chunknet) both build on it.
+// The package is pure protocol logic with no event loop of its own: it
+// holds the interface phases, the eq. 1 estimator, the detour planner and
+// the request window, which the flow-level simulator (internal/flowsim)
+// and the chunk-level simulator (internal/chunknet) both build on.
+// Push-data processor sharing runs in flowsim's class allocator and in
+// chunknet's round-robin sender; back-pressure and custody run in
+// chunknet.
 package core
 
 import (

@@ -129,33 +129,3 @@ func TestEstimatorElapsedWindow(t *testing.T) {
 		t.Error("negative interval should be ignored")
 	}
 }
-
-func TestDecideUpstream(t *testing.T) {
-	if DecideUpstream(false, true) != ActionDetour {
-		t.Error("detour available should win")
-	}
-	if DecideUpstream(true, true) != ActionDetour {
-		t.Error("even the sender prefers a detour")
-	}
-	if DecideUpstream(false, false) != ActionPropagate {
-		t.Error("mid-path without detour should propagate")
-	}
-	if DecideUpstream(true, false) != ActionSenderClosedLoop {
-		t.Error("sender without detour should close the loop")
-	}
-	if ActionDetour.String() != "detour" || ActionSenderClosedLoop.String() != "sender-closed-loop" {
-		t.Error("action names wrong")
-	}
-}
-
-func TestCustodyTarget(t *testing.T) {
-	// 10GB free custody over a 2s horizon absorbs 40Gbps on top of the
-	// link's own rate.
-	got := CustodyTarget(10*units.Gbps, 10*units.GB, 2)
-	if got != 50*units.Gbps {
-		t.Errorf("custody target = %v, want 50Gbps", got)
-	}
-	if got := CustodyTarget(10*units.Gbps, units.GB, 0); got != 10*units.Gbps {
-		t.Errorf("zero horizon should return the link rate, got %v", got)
-	}
-}

@@ -57,9 +57,6 @@ func NewEstimator(n int, chunkSize units.ByteSize, interval time.Duration) *Esti
 	}
 }
 
-// NumInterfaces returns the number of interfaces tracked.
-func (e *Estimator) NumInterfaces() int { return len(e.rates) }
-
 // Interval returns the current measurement interval Ti.
 func (e *Estimator) Interval() time.Duration { return e.interval }
 

@@ -1,7 +1,7 @@
 // Package route implements the routing substrate of the INRPP
 // reproduction: BFS/Dijkstra shortest paths, equal-cost multipath (ECMP),
-// Yen's k-shortest paths, and the detour-discovery analysis behind the
-// paper's Table 1 and detour phase.
+// and the detour-discovery analysis behind the paper's Table 1 and detour
+// phase.
 package route
 
 import (

@@ -59,7 +59,7 @@ func TestDijkstraWeights(t *testing.T) {
 func TestDijkstraAvoid(t *testing.T) {
 	g := topo.Ring(5)
 	l, _ := g.LinkBetween(0, 1)
-	p := ShortestPathAvoiding(g, 0, 1, AvoidLink(l.ID))
+	p := Dijkstra(g, 0, nil, AvoidLink(l.ID)).PathTo(1)
 	if p.Hops() != 4 {
 		t.Errorf("avoiding direct link, hops = %d, want 4", p.Hops())
 	}
@@ -174,42 +174,6 @@ func TestECMPPathsAreShortest(t *testing.T) {
 			if !p.Valid(g) {
 				t.Errorf("ECMP path %v invalid", p)
 			}
-		}
-	}
-}
-
-func TestKShortestRing(t *testing.T) {
-	g := topo.Ring(6)
-	paths := KShortest(g, 0, 1, 3)
-	if len(paths) != 2 {
-		t.Fatalf("ring 0→1 has %d loopless paths, want 2: %v", len(paths), paths)
-	}
-	if paths[0].Hops() != 1 || paths[1].Hops() != 5 {
-		t.Errorf("path hops = %d,%d want 1,5", paths[0].Hops(), paths[1].Hops())
-	}
-}
-
-func TestKShortestOrdering(t *testing.T) {
-	g := topo.MustBuildISP(topo.VSNL)
-	src, dst := topo.NodeID(0), topo.NodeID(g.NumNodes()-1)
-	paths := KShortest(g, src, dst, 5)
-	if len(paths) == 0 {
-		t.Fatal("no paths found")
-	}
-	for i := 1; i < len(paths); i++ {
-		if paths[i].Hops() < paths[i-1].Hops() {
-			t.Errorf("paths out of order: %d hops before %d", paths[i-1].Hops(), paths[i].Hops())
-		}
-		if paths[i].Equal(paths[i-1]) {
-			t.Error("duplicate path returned")
-		}
-	}
-	for _, p := range paths {
-		if !p.Valid(g) {
-			t.Errorf("invalid path %v", p)
-		}
-		if p.Src() != src || p.Dst() != dst {
-			t.Errorf("path endpoints wrong: %v", p)
 		}
 	}
 }

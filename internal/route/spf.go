@@ -108,12 +108,6 @@ func ShortestPath(g *topo.Graph, src, dst topo.NodeID) Path {
 	return Dijkstra(g, src, nil, nil).PathTo(dst)
 }
 
-// ShortestPathAvoiding returns a shortest path from src to dst that uses no
-// link rejected by avoid, or nil if none exists.
-func ShortestPathAvoiding(g *topo.Graph, src, dst topo.NodeID, avoid AvoidFunc) Path {
-	return Dijkstra(g, src, nil, avoid).PathTo(dst)
-}
-
 // HopDistance returns the minimum hop count between a and b via BFS, or -1
 // if disconnected.
 func HopDistance(g *topo.Graph, a, b topo.NodeID) int {

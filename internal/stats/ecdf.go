@@ -116,54 +116,3 @@ func dedupePoints(pts []Point) []Point {
 	}
 	return out
 }
-
-// Histogram counts observations into equal-width bins over [Lo, Hi).
-// Observations outside the range are clamped into the first or last bin so
-// no sample is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins < 1 or hi ≤ lo, which are programming errors.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations that landed in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}

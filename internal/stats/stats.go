@@ -1,6 +1,6 @@
 // Package stats provides the statistical machinery used by the INRPP
 // experiment harnesses: streaming summaries, percentiles, empirical CDFs,
-// histograms, Jain's fairness index and time-weighted averages.
+// Jain's fairness index and time-weighted averages.
 //
 // Everything is deterministic and allocation-light so it can run inside the
 // simulators' hot loops.
@@ -40,13 +40,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddN records the same observation n times.
-func (s *Summary) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(x)
-	}
 }
 
 // Merge folds other into s, as if every observation of other had been Added

@@ -215,30 +215,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d, want 8", h.Total())
-	}
-	// Bins: [0,2) gets -1,0,1.9; [2,4) gets 2; [4,6) gets 5; [8,10) gets
-	// 9.9, 10(clamped), 100(clamped).
-	wantCounts := []int{3, 1, 1, 0, 3}
-	for i, want := range wantCounts {
-		if h.Counts[i] != want {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], want)
-		}
-	}
-	if !almostEqual(h.Fraction(0), 3.0/8, 1e-12) {
-		t.Errorf("Fraction(0) = %v", h.Fraction(0))
-	}
-	if !almostEqual(h.BinCenter(2), 5, 1e-12) {
-		t.Errorf("BinCenter(2) = %v, want 5", h.BinCenter(2))
-	}
-}
-
 func TestTimeWeighted(t *testing.T) {
 	var tw TimeWeighted
 	tw.Observe(0, 10) // 10 over [0,2)

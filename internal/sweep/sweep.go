@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"time"
 )
@@ -89,16 +88,6 @@ func (m *Metrics) AddSamples(name string, xs ...float64) {
 		m.Samples = map[string][]float64{}
 	}
 	m.Samples[name] = append(m.Samples[name], xs...)
-}
-
-// ValueNames returns the scalar metric names in sorted order.
-func (m Metrics) ValueNames() []string {
-	names := make([]string, 0, len(m.Values))
-	for n := range m.Values {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RunFunc executes one scenario and returns its metrics. Implementations

@@ -100,9 +100,6 @@ func New(name string) *Graph {
 // Name returns the graph's descriptive name.
 func (g *Graph) Name() string { return g.name }
 
-// SetName changes the graph's descriptive name.
-func (g *Graph) SetName(name string) { g.name = name }
-
 // AddNode appends a node and returns its ID. An empty name is replaced with
 // a generated one ("n<id>").
 func (g *Graph) AddNode(name string) NodeID {
@@ -213,16 +210,6 @@ func (g *Graph) SetAllCapacities(capacity units.BitRate) {
 	for i := range g.links {
 		g.links[i].Capacity = capacity
 	}
-}
-
-// TotalCapacity returns the sum of per-direction capacities over both
-// directions of all links (i.e. 2 × Σ capacity).
-func (g *Graph) TotalCapacity() units.BitRate {
-	var total units.BitRate
-	for _, l := range g.links {
-		total += 2 * l.Capacity
-	}
-	return total
 }
 
 // Clone returns a deep copy of the graph.

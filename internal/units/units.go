@@ -28,12 +28,6 @@ const (
 	Tbps                 = 1e12 * BitPerSecond
 )
 
-// BytesPerSecond returns the rate expressed in bytes per second.
-func (r BitRate) BytesPerSecond() float64 { return float64(r) / 8 }
-
-// IsZero reports whether the rate is exactly zero.
-func (r BitRate) IsZero() bool { return r == 0 }
-
 // TransmissionTime returns the time needed to serialise size onto a link of
 // this rate. It returns a very large duration for a zero or negative rate so
 // callers need not special-case dead links.

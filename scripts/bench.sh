@@ -20,7 +20,7 @@
 # The suite covers the two simulation hot paths (flowsim allocator,
 # chunknet DES) plus the DES kernel (schedule-and-run, nested cascade,
 # cancel-and-re-arm), routing (Dijkstra, sub-paths, ECMP), the custody
-# and LRU caches, and the sweep fold and worker pool; allocs/op is the
+# store, and the sweep fold and worker pool; allocs/op is the
 # gated metric because it is machine-independent, unlike wall-clock.
 # Only the GATED list below fails a smoke run; the other benchmarks are
 # recorded for the per-layer breakdown.
@@ -52,7 +52,7 @@ run_pkg . 'BenchmarkFig4Scaled|BenchmarkFig4Huge|BenchmarkChunknetFanIn|Benchmar
 run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkRunSP|BenchmarkRunINRP'
 run_pkg ./internal/des 'BenchmarkScheduleAndRun|BenchmarkNestedCascade|BenchmarkCancelRearm'
 run_pkg ./internal/route 'BenchmarkDijkstraLevel3|BenchmarkSubpaths|BenchmarkECMPBuild'
-run_pkg ./internal/cache 'BenchmarkCustodyOfferPop|BenchmarkLRUGetPut'
+run_pkg ./internal/cache 'BenchmarkCustodyOfferPop'
 run_pkg ./internal/sweep 'BenchmarkAccumulator|BenchmarkSweepWorkers'
 
 # Extract "name ns_per_op bytes_per_op allocs_per_op" rows from the raw
