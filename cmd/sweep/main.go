@@ -37,14 +37,19 @@
 // any scenario runs. To add an axis, add a row.
 //
 // With -checkpoint FILE every completed scenario is streamed to FILE as
-// one JSON line; rerunning with -resume restores those scenarios from
-// disk and executes only the rest, so a killed process (SIGKILL included)
-// finishes with output byte-identical to an uninterrupted run.
+// one JSON line, and a run whose FILE already exists resumes from it:
+// recorded scenarios are restored from disk and only the rest execute,
+// so rerunning the same command after a kill (SIGKILL included) finishes
+// with output byte-identical to an uninterrupted run.
 //
 // Results fold into a streaming accumulator as workers finish, so the
 // full result slice is never materialised; the fold is exact, and output
-// is byte-identical to aggregating every result at the end. -resume
-// streams restored records from the checkpoint file into the same fold.
+// is byte-identical to aggregating every result at the end. Restored
+// records stream from the checkpoint file into the same fold.
+//
+// A single run is a one-cell grid: -policies inrp -replicas 1 (flow) or
+// -mode chunk -transports arc -replicas 1 (chunk) prints the metrics of
+// one sweep.FlowSpec or sweep.ChunkSpec run at the cell's derived seed.
 //
 // A grid can be split across machines: -shard i/n (0-based) runs only the
 // i-th slice of a deterministic n-way partition of the expanded grid,
@@ -115,6 +120,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -138,8 +144,7 @@ func main() {
 	progressEvery := flag.Duration("progress-every", 5*time.Second, "period of the stderr progress ticker (done/total, rate, ETA); 0 disables")
 	checkpointObs := flag.Bool("checkpoint-obs", false, "embed per-scenario observability summaries in checkpoint records")
 	exectrace := flag.String("exectrace", "", "write a runtime execution trace of the sweep to this file")
-	checkpointPath := flag.String("checkpoint", "", "stream completed scenarios to this JSONL file")
-	resume := flag.Bool("resume", false, "restore completed scenarios from -checkpoint, run only the rest")
+	checkpointPath := flag.String("checkpoint", "", "stream completed scenarios to this JSONL file, resuming from it when it exists")
 	shardStr := flag.String("shard", "", "run only shard i/n of the grid (0-based, e.g. 0/3); combine shard checkpoints with -merge")
 	mergeList := flag.String("merge", "", "merge shard checkpoint files (comma-separated JSONL paths) instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -158,6 +163,9 @@ func main() {
 	// Grid flags: both families' axes and scalars, declared in grids.go.
 	registerGrids(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(*format, *replicas); err != nil {
+		fatal(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -229,8 +237,8 @@ func main() {
 	// owns the checkpoint (always resuming), the workers own nothing.
 	switch *mode {
 	case "serve":
-		if *shardStr != "" || *mergeList != "" || *resume {
-			fatal(fmt.Errorf("-mode serve cannot be combined with -shard, -merge or -resume (the coordinator always resumes from -checkpoint)"))
+		if *shardStr != "" || *mergeList != "" {
+			fatal(fmt.Errorf("-mode serve cannot be combined with -shard or -merge (the coordinator always resumes from -checkpoint)"))
 		}
 		runServe(serveArgs{
 			listen:         *listenAddr,
@@ -248,8 +256,8 @@ func main() {
 		})
 		return
 	case "work":
-		if *shardStr != "" || *mergeList != "" || *checkpointPath != "" || *resume {
-			fatal(fmt.Errorf("-mode work cannot be combined with -shard, -merge, -checkpoint or -resume (the coordinator owns the checkpoint)"))
+		if *shardStr != "" || *mergeList != "" || *checkpointPath != "" {
+			fatal(fmt.Errorf("-mode work cannot be combined with -shard, -merge or -checkpoint (the coordinator owns the checkpoint)"))
 		}
 		runWork(workArgs{
 			coordinator: *coordURL,
@@ -271,8 +279,8 @@ func main() {
 	// Title and bytes must match an unsharded run exactly, so the
 	// rendering path below is shared.
 	if *mergeList != "" {
-		if *shardStr != "" || *checkpointPath != "" || *resume {
-			fatal(fmt.Errorf("-merge cannot be combined with -shard, -checkpoint or -resume"))
+		if *shardStr != "" || *checkpointPath != "" {
+			fatal(fmt.Errorf("-merge cannot be combined with -shard or -checkpoint"))
 		}
 		acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 		if err := sweep.MergeCheckpointsInto(acc, label, scenarios, split(*mergeList)...); err != nil {
@@ -294,9 +302,6 @@ func main() {
 		}
 	}
 
-	if *resume && *checkpointPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
 	var cp *sweep.Checkpoint
 	if *checkpointPath != "" {
 		if cp, err = sweep.NewCheckpoint(*checkpointPath, label); err != nil {
@@ -308,12 +313,12 @@ func main() {
 	stopTicker := startProgressTicker(reg, *progressEvery, *quiet)
 
 	// Results fold into the accumulator as workers finish; only the
-	// failed ones come back as a slice, for reporting. A resume streams
-	// restored records from the checkpoint file as the accumulator
-	// reaches them, never materialising them all at once.
+	// failed ones come back as a slice, for reporting. A checkpointed run
+	// streams the records already in the file into the fold as the
+	// accumulator reaches them, never materialising them all at once.
 	acc := sweep.NewAccumulator(sweep.AccumulatorConfig{}, scenarios)
 	var failed []sweep.Result
-	if *resume {
+	if cp != nil {
 		_, failed, err = runner.ResumeCheckpointAccumulate(context.Background(), *checkpointPath, label, scenarios, acc,
 			func(restored int) {
 				fmt.Fprintf(os.Stderr, "sweep: restored %d/%d scenarios from %s\n",
@@ -433,14 +438,10 @@ func stopProfiles() {
 // slice size; merged and unsharded runs must produce identical bytes, so
 // they share the zero-shard form.
 func title(scenarios []sweep.Scenario, replicas int, seed int64, shard sweep.Shard) string {
-	rep := replicas
-	if rep < 1 {
-		rep = 1 // mirrors Grid.Expand's floor
-	}
 	// Points counted from the scenario list, not grid.Size(): chunk
 	// mode collapses redundant baseline cells after expansion.
 	base := fmt.Sprintf("Scenario sweep — %d scenarios, %d points, seed %d",
-		len(scenarios), len(scenarios)/rep, seed)
+		len(scenarios), len(scenarios)/replicas, seed)
 	if shard.Count <= 1 {
 		return base
 	}
@@ -448,7 +449,24 @@ func title(scenarios []sweep.Scenario, replicas int, seed int64, shard sweep.Sha
 		base, shard, len(shard.Select(scenarios)))
 }
 
-// render writes the accumulator's aggregates in the requested format.
+// formats lists the values -format accepts.
+var formats = []string{"table", "csv", "json"}
+
+// checkFlags rejects values no mode can honour, before any scenario runs:
+// an unknown -format would fail only after the whole grid ran, and
+// -replicas below 1 would silently run one replica.
+func checkFlags(format string, replicas int) error {
+	if !slices.Contains(formats, format) {
+		return fmt.Errorf("-format %q: unknown format (known: %s)", format, strings.Join(formats, ", "))
+	}
+	if replicas < 1 {
+		return fmt.Errorf("-replicas %d: need at least one replica", replicas)
+	}
+	return nil
+}
+
+// render writes the accumulator's aggregates in the format checkFlags
+// accepted.
 func render(format, metricsList, tableTitle string, acc *sweep.Accumulator) {
 	aggs, err := acc.Aggregates()
 	if err != nil {
@@ -468,8 +486,6 @@ func render(format, metricsList, tableTitle string, acc *sweep.Accumulator) {
 		if err := sweep.JSON(os.Stdout, aggs); err != nil {
 			fatal(err)
 		}
-	default:
-		fatal(fmt.Errorf("unknown format %q (known: table, csv, json)", format))
 	}
 }
 

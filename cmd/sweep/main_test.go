@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,10 +12,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chunknet"
+	"repro/internal/flowsim"
+	"repro/internal/sweep"
+	"repro/internal/topo"
+	"repro/internal/units"
 )
 
 // buildSweep compiles the sweep binary once per test into a temp dir.
@@ -95,8 +103,8 @@ func killAfterProgress(t *testing.T, bin string, args ...string) {
 var restoredRE = regexp.MustCompile(`restored (\d+)/(\d+) scenarios`)
 
 // TestChunkSweepKillResume is the end-to-end checkpoint guarantee: a
-// chunknet grid sweep killed mid-run with SIGKILL, then resumed with
-// -resume, yields byte-identical table/CSV/JSON output to an
+// chunknet grid sweep killed mid-run with SIGKILL, then rerun on the same
+// -checkpoint file, yields byte-identical table/CSV/JSON output to an
 // uninterrupted run — at worker counts different from the killed run's.
 func TestChunkSweepKillResume(t *testing.T) {
 	if testing.Short() {
@@ -110,16 +118,16 @@ func TestChunkSweepKillResume(t *testing.T) {
 	goldenCP := filepath.Join(goldenDir, "golden.jsonl")
 	golden, _ := runSweep(t, bin, append(chunkGridArgs("2"), "-checkpoint", goldenCP)...)
 	goldenCSV, _ := runSweep(t, bin, append(chunkGridArgs("2"),
-		"-checkpoint", goldenCP, "-resume", "-q", "-format", "csv")...)
+		"-checkpoint", goldenCP, "-q", "-format", "csv")...)
 	goldenJSON, _ := runSweep(t, bin, append(chunkGridArgs("2"),
-		"-checkpoint", goldenCP, "-resume", "-q", "-format", "json")...)
+		"-checkpoint", goldenCP, "-q", "-format", "json")...)
 
 	for _, workers := range []string{"1", "4"} {
 		cp := filepath.Join(t.TempDir(), "sweep.jsonl")
 
 		killAfterProgress(t, bin, append(chunkGridArgs(workers), "-checkpoint", cp)...)
 
-		out, errOut := runSweep(t, bin, append(chunkGridArgs(workers), "-checkpoint", cp, "-resume")...)
+		out, errOut := runSweep(t, bin, append(chunkGridArgs(workers), "-checkpoint", cp)...)
 		m := restoredRE.FindStringSubmatch(errOut)
 		if m == nil {
 			t.Fatalf("workers=%s: no restore banner in stderr:\n%s", workers, errOut)
@@ -137,19 +145,19 @@ func TestChunkSweepKillResume(t *testing.T) {
 		// The sweep is now complete on disk; every format must match the
 		// golden rendering byte for byte.
 		if csv, _ := runSweep(t, bin, append(chunkGridArgs(workers),
-			"-checkpoint", cp, "-resume", "-q", "-format", "csv")...); csv != goldenCSV {
+			"-checkpoint", cp, "-q", "-format", "csv")...); csv != goldenCSV {
 			t.Errorf("workers=%s: resumed CSV differs", workers)
 		}
 		if js, _ := runSweep(t, bin, append(chunkGridArgs(workers),
-			"-checkpoint", cp, "-resume", "-q", "-format", "json")...); js != goldenJSON {
+			"-checkpoint", cp, "-q", "-format", "json")...); js != goldenJSON {
 			t.Errorf("workers=%s: resumed JSON differs", workers)
 		}
 	}
 }
 
 // TestFlowSweepCheckpointResume covers the flow grid on the same flags: a
-// cancelled-then-resumed checkpoint file reproduces the uninterrupted
-// output.
+// rerun on a complete checkpoint file restores every scenario, reproduces
+// the uninterrupted output and appends nothing to the file.
 func TestFlowSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
@@ -173,12 +181,97 @@ func TestFlowSweepCheckpointResume(t *testing.T) {
 	if full != golden {
 		t.Error("checkpointed run differs from plain run")
 	}
-	resumed, errOut := runSweep(t, bin, append(args, "-checkpoint", cp, "-resume")...)
+	before, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, errOut := runSweep(t, bin, append(args, "-checkpoint", cp)...)
 	if resumed != golden {
 		t.Errorf("resumed run differs from plain run:\n%s\n--- vs ---\n%s", resumed, golden)
 	}
 	if !strings.Contains(errOut, "restored 4/4") {
 		t.Errorf("expected full restore, stderr:\n%s", errOut)
+	}
+	if after, err := os.ReadFile(cp); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("rerun on a complete checkpoint changed the file (err %v): re-ran scenarios", err)
+	}
+}
+
+// TestOneCellParity pins the single-run recipes: a one-cell flow grid
+// (-policies inrp) and a one-cell chunk grid (-transports arc) at
+// -replicas 1 print exactly the metrics of one FlowSpec/ChunkSpec run at
+// the cell's derived seed.
+func TestOneCellParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process sweep run")
+	}
+	bin := buildSweep(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		run  func(seed int64) (sweep.Metrics, error)
+	}{
+		{"flow", []string{"-isps", "VSNL (IN)", "-policies", "inrp", "-flows", "30",
+			"-capacity", "100Mbps", "-demand", "50Mbps", "-size", "20MB", "-horizon", "2s"},
+			func(seed int64) (sweep.Metrics, error) {
+				r, err := sweep.FlowSpec{
+					ISP: topo.VSNL, Capacity: 100 * units.Mbps, Policy: flowsim.INRP, Flows: 30,
+					MeanSize: 20 * units.MB, DemandCap: 50 * units.Mbps, Horizon: 2 * time.Second,
+				}.Simulate(seed)
+				if err != nil {
+					return sweep.Metrics{}, err
+				}
+				return sweep.FlowMetrics(r), nil
+			}},
+		{"chunk", []string{"-mode", "chunk", "-transports", "arc", "-transfers", "2",
+			"-ingress", "1Gbps", "-egress", "200Mbps", "-chunksize", "100KB", "-chunks", "300",
+			"-buffer", "2MB", "-horizon", "2s"},
+			func(seed int64) (sweep.Metrics, error) {
+				// Every field the chunk grid's flag defaults set, spelled out.
+				spec := sweep.ChunkSpec{
+					Transport: chunknet.ARC, IngressRate: units.Gbps, EgressRate: 200 * units.Mbps,
+					ChunkSize: 100 * units.KB, Anticipation: 4096, Custody: 10 * units.GB,
+					Buffer: 2 * units.MB, Transfers: 2, Chunks: 300, Horizon: 2 * time.Second,
+				}
+				rep, err := spec.Simulate(seed)
+				if err != nil {
+					return sweep.Metrics{}, err
+				}
+				return sweep.ChunkMetrics(rep, spec), nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tc.args, "-replicas", "1", "-seed", "5")
+			scenarios, _, err := parseGrid(t, args...)
+			if err != nil || len(scenarios) != 1 {
+				t.Fatalf("grid: %d scenarios, err %v; want one cell", len(scenarios), err)
+			}
+			want, err := tc.run(scenarios[0].Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := runSweep(t, bin, append(args, "-q", "-format", "json")...)
+			var aggs []struct {
+				Replicas int                `json:"replicas"`
+				Mean     map[string]float64 `json:"mean"`
+				Std      map[string]float64 `json:"std"`
+			}
+			if err := json.Unmarshal([]byte(out), &aggs); err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if len(aggs) != 1 || aggs[0].Replicas != 1 {
+				t.Fatalf("want one cell with one replica, got:\n%s", out)
+			}
+			if len(aggs[0].Mean) != len(want.Values) {
+				t.Errorf("printed %d metrics, direct run has %d:\n%s", len(aggs[0].Mean), len(want.Values), out)
+			}
+			for name, v := range want.Values {
+				got, ok := aggs[0].Mean[name]
+				if !ok || got != v || aggs[0].Std[name] != 0 {
+					t.Errorf("%s: printed %v (present %v, std %v), direct run %v", name, got, ok, aggs[0].Std[name], v)
+				}
+			}
+		})
 	}
 }
 
@@ -218,9 +311,9 @@ func TestSweepShardMerge(t *testing.T) {
 	goldenCP := filepath.Join(dir, "golden.jsonl")
 	golden, _ := runSweep(t, bin, append(shardGridArgs(), "-q", "-checkpoint", goldenCP)...)
 	goldenCSV, _ := runSweep(t, bin, append(shardGridArgs(),
-		"-q", "-checkpoint", goldenCP, "-resume", "-format", "csv")...)
+		"-q", "-checkpoint", goldenCP, "-format", "csv")...)
 	goldenJSON, _ := runSweep(t, bin, append(shardGridArgs(),
-		"-q", "-checkpoint", goldenCP, "-resume", "-format", "json")...)
+		"-q", "-checkpoint", goldenCP, "-format", "json")...)
 
 	// Three "hosts", one shard each. Host 0 is SIGKILLed mid-shard and
 	// resumed from its checkpoint, like a real pre-empted machine.
@@ -230,7 +323,7 @@ func TestSweepShardMerge(t *testing.T) {
 		shardArgs := append(shardGridArgs(), "-shard", fmt.Sprintf("%d/3", i), "-checkpoint", shardCPs[i])
 		if i == 0 {
 			killAfterProgress(t, bin, append(shardArgs, "-workers", "1")...)
-			_, errOut := runSweep(t, bin, append(shardArgs, "-resume")...)
+			_, errOut := runSweep(t, bin, shardArgs...)
 			m := restoredRE.FindStringSubmatch(errOut)
 			if m == nil {
 				t.Fatalf("shard 0 resume printed no restore banner:\n%s", errOut)
@@ -283,14 +376,21 @@ func TestSweepShardMerge(t *testing.T) {
 // unknown enum value, an empty axis, a failover or correlation without
 // its detour — must stop the sweep at flag parse with an error naming its flag, never
 // reach the simulators (where -flows 0 panicked every scenario) or exit 0
-// with an empty or all-zero table. A removed flag fails the same way.
+// with an empty or all-zero table. An unknown -format or -replicas below 1
+// fails the same way in the local, serve and merge modes, before a grid
+// runs or a coordinator listens. A removed flag fails the same way.
 func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
 	}
 	bin := buildSweep(t)
+	dir := t.TempDir()
 	flow := []string{"-isps", "VSNL (IN)", "-flows", "10", "-replicas", "1", "-horizon", "1s", "-q"}
 	chunk := []string{"-mode", "chunk", "-chunks", "10", "-replicas", "1", "-horizon", "1s", "-q"}
+	// Clipped, so each row's append copies instead of sharing a tail.
+	serve := slices.Clip(append([]string{"-mode", "serve", "-grid", "flow", "-listen", "127.0.0.1:0",
+		"-checkpoint", filepath.Join(dir, "serve.jsonl")}, flow...))
+	merge := slices.Clip(append(flow, "-merge", filepath.Join(dir, "absent.jsonl")))
 	for _, tc := range []struct {
 		flag string
 		args []string
@@ -330,9 +430,21 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		{"-failover", append(chunk, "-failover", "hold,reroute")},
 		{"-correlated", append(chunk, "-correlated", "true")},
 		{"-correlated", append(chunk, "-detour-rate", "1Gbps", "-correlated", "true")},
+		// Output and replica flags are checked before any mode starts.
+		{"-format", append(flow, "-format", "xml")},
+		{"-replicas", append(flow, "-replicas", "0")},
+		{"-replicas", append(chunk, "-replicas", "-5")},
+		{"-format", append(serve, "-format", "xml")},
+		{"-replicas", append(serve, "-replicas", "0")},
+		{"-format", append(merge, "-format", "xml")},
+		{"-replicas", append(merge, "-replicas", "-5")},
 		{"-agg", append(flow, "-agg", "exact")}, // removed: the fold is always exact
 	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		// The timeout bounds a serve row that wrongly starts a coordinator
+		// and waits for workers.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+		cancel()
 		if err == nil {
 			t.Errorf("%v: exited 0, want a flag error\n%s", tc.args, out)
 			continue
@@ -340,29 +452,12 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		if bytes.Contains(out, []byte("panicked")) {
 			t.Errorf("%v: reached the simulators:\n%s", tc.args, out)
 		}
+		if bytes.Contains(out, []byte("listening on")) {
+			t.Errorf("%v: started a coordinator before failing:\n%s", tc.args, out)
+		}
 		if !bytes.Contains(out, []byte(tc.flag)) {
 			t.Errorf("%v: error does not name %s:\n%s", tc.args, tc.flag, out)
 		}
-	}
-}
-
-// TestSweepResumeRequiresCheckpoint: -resume without -checkpoint must
-// fail fast, before any simulation work.
-func TestSweepResumeRequiresCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process sweep run")
-	}
-	bin := buildSweep(t)
-	start := time.Now()
-	out, err := exec.Command(bin, append(chunkGridArgs("1"), "-resume")...).CombinedOutput()
-	if err == nil {
-		t.Fatal("-resume without -checkpoint should fail")
-	}
-	if !bytes.Contains(out, []byte("-resume requires -checkpoint")) {
-		t.Errorf("unexpected failure output: %s", out)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("-resume validation ran the sweep before failing")
 	}
 }
 
@@ -544,7 +639,7 @@ func TestSweepCheckpointObs(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"elapsed_ms"`)) {
 		t.Errorf("-checkpoint-obs wrote no obs summaries:\n%s", data)
 	}
-	resumed, errOut := runSweep(t, bin, obsGridArgs("-q", "-checkpoint", withObs, "-resume")...)
+	resumed, errOut := runSweep(t, bin, obsGridArgs("-q", "-checkpoint", withObs)...)
 	if resumed != golden {
 		t.Error("resume from an obs-annotated checkpoint differs from its own run")
 	}

@@ -104,8 +104,8 @@ func TestSweepServiceChaos(t *testing.T) {
 	goldenCP := filepath.Join(dir, "golden.jsonl")
 	single := append([]string{"-mode", "chunk"}, serviceGridArgs()...)
 	golden, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", goldenCP)...)
-	goldenCSV, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", goldenCP, "-resume", "-format", "csv")...)
-	goldenJSON, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", goldenCP, "-resume", "-format", "json")...)
+	goldenCSV, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", goldenCP, "-format", "csv")...)
+	goldenJSON, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", goldenCP, "-format", "json")...)
 
 	coordCP := filepath.Join(dir, "coord.jsonl")
 	serveArgs := func(listen string) []string {
@@ -215,14 +215,14 @@ func TestSweepServiceChaos(t *testing.T) {
 	if got := coord2.out.String(); got != golden {
 		t.Errorf("chaos table differs from single-host run:\n%s\n--- vs ---\n%s", got, golden)
 	}
-	csv, errOut := runSweep(t, bin, append(single, "-q", "-checkpoint", coordCP, "-resume", "-format", "csv")...)
+	csv, errOut := runSweep(t, bin, append(single, "-q", "-checkpoint", coordCP, "-format", "csv")...)
 	if !strings.Contains(errOut, "restored 8/8") {
 		t.Errorf("coordinator checkpoint incomplete for classic resume:\n%s", errOut)
 	}
 	if csv != goldenCSV {
 		t.Error("chaos CSV differs from single-host run")
 	}
-	if js, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", coordCP, "-resume", "-format", "json")...); js != goldenJSON {
+	if js, _ := runSweep(t, bin, append(single, "-q", "-checkpoint", coordCP, "-format", "json")...); js != goldenJSON {
 		t.Error("chaos JSON differs from single-host run")
 	}
 }
@@ -264,7 +264,7 @@ func TestSweepServiceFlagGuards(t *testing.T) {
 	grid := serviceGridArgs()
 	mustFail("requires -checkpoint", append([]string{"-mode", "serve", "-grid", "chunk"}, grid...)...)
 	mustFail("cannot be combined", append(append([]string{"-mode", "serve", "-grid", "chunk"}, grid...),
-		"-checkpoint", "x.jsonl", "-resume")...)
+		"-checkpoint", "x.jsonl", "-shard", "0/2")...)
 	mustFail("requires -coordinator", append([]string{"-mode", "work", "-grid", "chunk"}, grid...)...)
 	mustFail("cannot be combined", append(append([]string{"-mode", "work", "-grid", "chunk"}, grid...),
 		"-coordinator", "http://127.0.0.1:1", "-checkpoint", "x.jsonl")...)

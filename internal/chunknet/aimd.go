@@ -45,7 +45,7 @@ func (s *Sim) aimdAckData(f *flowState) {
 	p.kind = pktAck
 	p.flow = f.tr.ID
 	p.cum = f.win.Next() - 1
-	p.size = s.cfg.RequestSize
+	p.size = requestSize
 	p.rest = append(p.rest, f.reqPath[1:]...)
 	p.prevHop = f.tr.Dst
 	if len(f.reqPath) < 2 {
@@ -102,7 +102,7 @@ func (s *Sim) aimdRetransmit(f *flowState) {
 // aimdResetRTO (re)arms the retransmission timeout.
 func (s *Sim) aimdResetRTO(f *flowState) {
 	f.rto.Cancel()
-	f.rto = s.des.After(s.cfg.RTO, f.timeoutFn)
+	f.rto = s.des.After(maxRTO, f.timeoutFn)
 }
 
 // aimdTimeout is the coarse timeout: collapse to one segment and go back

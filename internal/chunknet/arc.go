@@ -385,7 +385,7 @@ func (a *arcState) occupancyFraction() float64 {
 // maybeReleaseBackpressure lifts back-pressure once the store has drained
 // below the low watermark.
 func (a *arcState) maybeReleaseBackpressure() {
-	if !a.bpActive || a.occupancyFraction() > a.sim.cfg.BackpressureLow {
+	if !a.bpActive || a.occupancyFraction() > bpLow {
 		return
 	}
 	a.bpActive = false
@@ -394,7 +394,7 @@ func (a *arcState) maybeReleaseBackpressure() {
 	for _, n := range a.bpNotified {
 		p := a.sim.newPacket()
 		p.kind = pktBpOff
-		p.size = a.sim.cfg.RequestSize
+		p.size = requestSize
 		p.bpArc = a.arc
 		a.sim.sendControl(a.from, n, p)
 	}

@@ -16,7 +16,7 @@ package chunknet
 // The stall timer is adaptive: request→data RTTs (first transmissions
 // only, per Karn's algorithm) feed an RFC 6298 SRTT/RTTVAR estimator, and
 // the timeout is SRTT + 4·RTTVAR with exponential backoff, floored at
-// Config.MinRTO and capped at the fixed Config.RTO. At small drop-tail
+// Config.MinRTO and capped at the fixed maxRTO. At small drop-tail
 // buffers this recovers from a lost request in a few RTTs instead of a
 // coarse 200ms stall.
 
@@ -138,17 +138,17 @@ func (s *Sim) arcObserveRTT(f *flowState, rtt time.Duration) {
 // the first sample the fixed RTO stands in.
 func (s *Sim) arcRTO(f *flowState) time.Duration {
 	if f.srtt == 0 {
-		return s.cfg.RTO
+		return maxRTO
 	}
 	rto := f.srtt + 4*f.rttvar
 	if rto < s.cfg.MinRTO {
 		rto = s.cfg.MinRTO
 	}
-	for i := uint(0); i < f.rtoScale && rto < s.cfg.RTO; i++ {
+	for i := uint(0); i < f.rtoScale && rto < maxRTO; i++ {
 		rto *= 2
 	}
-	if rto > s.cfg.RTO {
-		rto = s.cfg.RTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }

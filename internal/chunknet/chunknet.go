@@ -45,9 +45,6 @@ type Config struct {
 
 	// ChunkSize is the data chunk payload size (default 100KB).
 	ChunkSize units.ByteSize
-	// RequestSize is the size of request/ack/notification packets
-	// (default 100B).
-	RequestSize units.ByteSize
 	// Anticipation is the Ac window: how many chunks ahead of the
 	// application's needs receivers request (default 8).
 	Anticipation int64
@@ -66,22 +63,11 @@ type Config struct {
 	Ti time.Duration
 	// Planner configures detour planning (default core.DefaultPlannerConfig).
 	Planner core.PlannerConfig
-	// Iface configures phase thresholds (default core.DefaultInterfaceConfig).
-	Iface core.InterfaceConfig
-	// BackpressureHigh and BackpressureLow are the custody occupancy
-	// fractions that trigger and release back-pressure (defaults 0.7/0.3).
-	BackpressureHigh, BackpressureLow float64
 
-	// Outage, when enabled, is the churn process applied to every link
-	// that does not declare its own topo.OutageSpec — the quick way to
-	// churn a whole graph. Links with their own spec keep it. Maintenance
-	// calendars, SRLGs and per-packet loss have no graph-wide default:
-	// they are declared on the graph (SetLinkCalendar, AddSRLG,
-	// SetLinkLoss) and picked up from there.
-	Outage topo.OutageSpec
 	// ChurnSeed seeds every stochastic failure process (default 1): the
 	// per-arc outage streams, the SRLG group streams, and the per-arc
-	// loss streams. Two runs with the same seed see byte-identical
+	// loss streams. The processes themselves are declared on the graph
+	// (SetLinkOutage, SetLinkCalendar, AddSRLG, SetLinkLoss). Two runs with the same seed see byte-identical
 	// disruption; the seed is mixed per source, so arcs and groups fail
 	// independently of each other and of packet loss.
 	ChurnSeed int64
@@ -90,12 +76,8 @@ type Config struct {
 	// failover.go). Ignored by AIMD/ARC, which have no detours.
 	Failover FailoverMode
 
-	// RTO is the AIMD retransmission timeout and the ARC stall timer's
-	// upper bound and pre-sample fallback (default 200ms). AIMD keeps the
-	// fixed timer; ARC adapts below it from measured RTTs.
-	RTO time.Duration
 	// MinRTO floors ARC's adaptive stall timer (default 10ms). Setting it
-	// equal to RTO pins the timer to the fixed legacy behaviour.
+	// to the fixed 200ms RTO pins the timer to the legacy behaviour.
 	MinRTO time.Duration
 
 	// Obs, when non-nil, binds the run's metrics (kernel event counts,
@@ -111,12 +93,22 @@ type Config struct {
 	TraceLabel string
 }
 
+// Fixed protocol constants.
+const (
+	// requestSize is the size of request, ack and notification packets.
+	requestSize = 100 * units.Byte
+	// bpHigh and bpLow are the custody occupancy fractions that trigger
+	// and release back-pressure.
+	bpHigh, bpLow = 0.7, 0.3
+	// maxRTO is the AIMD retransmission timeout and the ARC stall timer's
+	// upper bound and pre-sample fallback. AIMD keeps the fixed timer;
+	// ARC adapts below it from measured RTTs.
+	maxRTO = 200 * time.Millisecond
+)
+
 func (c *Config) applyDefaults() {
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 100 * units.KB
-	}
-	if c.RequestSize == 0 {
-		c.RequestSize = 100 * units.Byte
 	}
 	if c.Anticipation == 0 {
 		c.Anticipation = 8
@@ -133,20 +125,8 @@ func (c *Config) applyDefaults() {
 	if c.Planner == (core.PlannerConfig{}) {
 		c.Planner = core.DefaultPlannerConfig()
 	}
-	if c.Iface == (core.InterfaceConfig{}) {
-		c.Iface = core.DefaultInterfaceConfig()
-	}
-	if c.BackpressureHigh == 0 {
-		c.BackpressureHigh = 0.7
-	}
-	if c.BackpressureLow == 0 {
-		c.BackpressureLow = 0.3
-	}
 	if c.ChurnSeed == 0 {
 		c.ChurnSeed = 1
-	}
-	if c.RTO == 0 {
-		c.RTO = 200 * time.Millisecond
 	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 10 * time.Millisecond
@@ -287,9 +267,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Failover < FailoverHold || cfg.Failover > FailoverBoth {
 		return nil, fmt.Errorf("chunknet: unknown failover mode %d", int(cfg.Failover))
 	}
-	if err := cfg.Outage.Validate(); err != nil {
-		return nil, fmt.Errorf("chunknet: %w", err)
-	}
 	cfg.applyDefaults()
 	s := &Sim{
 		cfg:     cfg,
@@ -333,10 +310,6 @@ func New(cfg Config) (*Sim, error) {
 			if cfg.Transport == INRPP {
 				storeCap += cfg.CustodyBytes
 			}
-			outage := l.Outage
-			if !outage.Enabled() {
-				outage = cfg.Outage
-			}
 			a := &arcState{
 				sim:      s,
 				arc:      topo.Arc{Link: lid, Dir: dir},
@@ -345,7 +318,7 @@ func New(cfg Config) (*Sim, error) {
 				baseRate: l.Capacity,
 				capRate:  l.Capacity,
 				delay:    l.Delay,
-				outage:   outage,
+				outage:   l.Outage,
 				calendar: l.Calendar,
 				lossProb: l.LossProb,
 				store:    cache.NewCustody(storeCap),
@@ -361,7 +334,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	for _, a := range s.arcs {
 		if a != nil {
-			a.iface = core.NewInterface(a.baseRate, cfg.Iface)
+			a.iface = core.NewInterface(a.baseRate)
 		}
 	}
 	// Bind shared-risk groups to their member arcs (both directions of

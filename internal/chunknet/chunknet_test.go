@@ -283,7 +283,7 @@ func TestARCDropsAtBottleneck(t *testing.T) {
 
 // arcSmallBufferRun executes the adaptive-RTO regression scenario: a 20×
 // bottleneck behind a 3-chunk drop-tail buffer, where losses are certain
-// and recovery speed is set by the stall timer. minRTO = rto pins the
+// and recovery speed is set by the stall timer. minRTO = maxRTO pins the
 // timer to the legacy fixed behaviour for comparison.
 func arcSmallBufferRun(t *testing.T, horizon time.Duration, minRTO time.Duration) *Report {
 	t.Helper()
@@ -315,7 +315,7 @@ func arcSmallBufferRun(t *testing.T, horizon time.Duration, minRTO time.Duration
 func TestARCAdaptiveRTOAtSmallBuffers(t *testing.T) {
 	const horizon = 6 * time.Second
 	adaptive := arcSmallBufferRun(t, horizon, 0) // default 10ms floor
-	legacy := arcSmallBufferRun(t, horizon, 200*time.Millisecond)
+	legacy := arcSmallBufferRun(t, horizon, maxRTO)
 
 	if adaptive.ChunksDropped == 0 {
 		t.Fatal("small buffer produced no drops; scenario cannot exercise recovery")

@@ -6,9 +6,8 @@ package chunknet
 // Three cause classes can hold an arc down, and they compose freely on
 // the same arc:
 //
-//   - the arc's own churn process (topo.OutageSpec on the link, or
-//     Config.Outage as the graph-wide default) — independent stochastic
-//     up/down cycles;
+//   - the arc's own churn process (topo.OutageSpec on the link) —
+//     independent stochastic up/down cycles;
 //   - maintenance calendars (topo.CalendarSpec) — explicit absolute
 //     [start, end) down-windows, no randomness at all;
 //   - shared-risk link groups (topo.SRLG) — one seeded process (and/or

@@ -260,10 +260,9 @@ func TestStoreKeysDenseUnderDrops(t *testing.T) {
 }
 
 // TestBackpressureWatermarkBoundaries pins the exact comparison
-// semantics at the watermarks: occupancy == BackpressureHigh triggers
-// (checkBackpressure returns early only below it), and occupancy ==
-// BackpressureLow releases (maybeReleaseBackpressure returns early only
-// above it).
+// semantics at the watermarks: occupancy == bpHigh triggers
+// (checkBackpressure returns early only below it), and occupancy == bpLow
+// releases (maybeReleaseBackpressure returns early only above it).
 func TestBackpressureWatermarkBoundaries(t *testing.T) {
 	build := func() (*Sim, *arcState) {
 		g := topo.New("chain")
@@ -276,7 +275,7 @@ func TestBackpressureWatermarkBoundaries(t *testing.T) {
 			ChunkSize:    10 * units.KB,
 			QueueBytes:   50 * units.KB,
 			CustodyBytes: 50 * units.KB, // store capacity 100KB = 10 chunks
-			// Defaults: High 0.7 (7 chunks), Low 0.3 (3 chunks).
+			// bpHigh 0.7 (7 chunks), bpLow 0.3 (3 chunks).
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -40,17 +40,12 @@ func runFailure(t *testing.T, cfg Config, dst topo.NodeID, chunks int64, horizon
 }
 
 // TestConfigFailureValidation: New rejects an out-of-range failover mode
-// and an invalid graph-wide outage spec instead of silently misbehaving.
+// instead of silently misbehaving.
 func TestConfigFailureValidation(t *testing.T) {
 	cfg := churnConfig(churnChain(topo.OutageSpec{}), INRPP, 1)
 	cfg.Failover = FailoverMode(99)
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted failover mode 99")
-	}
-	cfg = churnConfig(churnChain(topo.OutageSpec{}), INRPP, 1)
-	cfg.Outage = topo.OutageSpec{Kind: topo.OutageExp, Up: -time.Second, Down: time.Second}
-	if _, err := New(cfg); err == nil {
-		t.Error("New accepted a negative outage up-phase")
 	}
 }
 

@@ -274,7 +274,7 @@ func (s *Sim) sendRequest(f *flowState, seq int64, resend bool) {
 	p.kind = pktRequest
 	p.flow = f.tr.ID
 	p.seq = seq
-	p.size = s.cfg.RequestSize
+	p.size = requestSize
 	p.rest = append(p.rest, f.reqPath[1:]...)
 	p.prevHop = f.tr.Dst
 	p.resend = resend
@@ -401,7 +401,7 @@ func (s *Sim) checkBackpressure(a *arcState, p *packet) {
 	if s.cfg.Transport != INRPP {
 		return
 	}
-	if a.occupancyFraction() < s.cfg.BackpressureHigh {
+	if a.occupancyFraction() < bpHigh {
 		return
 	}
 	up := p.prevHop
@@ -420,7 +420,7 @@ func (s *Sim) checkBackpressure(a *arcState, p *packet) {
 	// horizon; a one-shot notification must not over-promise.)
 	p2 := s.newPacket()
 	p2.kind = pktBpOn
-	p2.size = s.cfg.RequestSize
+	p2.size = requestSize
 	p2.bpArc = a.arc
 	p2.bpRate = a.baseRate
 	s.sendControl(a.from, up, p2)

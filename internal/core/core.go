@@ -55,30 +55,22 @@ func (p Phase) String() string {
 	}
 }
 
-// InterfaceConfig tunes the per-interface phase transitions.
-type InterfaceConfig struct {
-	// Theta is the utilisation fraction of the link rate at which demand
-	// is considered to have reached supply (the paper's r_a ≳ r_i test;
-	// footnote 3 suggests operating slightly below full capacity).
-	// Default 1.0.
-	Theta float64
-	// Hysteresis widens the return path: the interface re-enters push-data
-	// only once the anticipated rate falls below (Theta-Hysteresis)·rate,
-	// avoiding phase flapping around the threshold. Default 0.05.
-	Hysteresis float64
-}
-
-// DefaultInterfaceConfig returns the configuration used throughout the
-// paper reproduction.
-func DefaultInterfaceConfig() InterfaceConfig {
-	return InterfaceConfig{Theta: 1.0, Hysteresis: 0.05}
-}
+// The per-interface phase thresholds.
+const (
+	// theta is the utilisation fraction of the link rate at which demand
+	// is considered to have reached supply (the paper's r_a ≳ r_i test).
+	theta = 1.0
+	// hysteresis widens the return path: the interface re-enters
+	// push-data only once the anticipated rate falls below
+	// (theta-hysteresis)·rate, avoiding phase flapping around the
+	// threshold.
+	hysteresis = 0.05
+)
 
 // Interface is the INRPP state machine for one outgoing router interface.
 // Feed it anticipated-rate observations (from an Estimator) and detour
 // availability; it answers which phase the interface operates in.
 type Interface struct {
-	cfg   InterfaceConfig
 	rate  units.BitRate
 	phase Phase
 
@@ -87,14 +79,8 @@ type Interface struct {
 
 // NewInterface returns an interface state machine for a link of the given
 // per-direction rate.
-func NewInterface(rate units.BitRate, cfg InterfaceConfig) *Interface {
-	if cfg.Theta <= 0 {
-		cfg.Theta = 1.0
-	}
-	if cfg.Hysteresis < 0 {
-		cfg.Hysteresis = 0
-	}
-	return &Interface{cfg: cfg, rate: rate, phase: PhasePushData}
+func NewInterface(rate units.BitRate) *Interface {
+	return &Interface{rate: rate, phase: PhasePushData}
 }
 
 // Phase returns the current phase.
@@ -107,17 +93,16 @@ func (i *Interface) Rate() units.BitRate { return i.rate }
 // stability (the paper's "avoid extensive link swapping").
 func (i *Interface) Transitions() int { return i.transitions }
 
-// Congested reports whether demand has reached supply under the
-// configured threshold, with hysteresis applied relative to the current
-// phase.
+// congested reports whether demand has reached supply under theta, with
+// hysteresis applied relative to the current phase.
 func (i *Interface) congested(anticipated units.BitRate) bool {
-	enter := units.BitRate(i.cfg.Theta) * i.rate
+	enter := units.BitRate(theta) * i.rate
 	if i.phase == PhasePushData {
 		return anticipated >= enter
 	}
 	// Already in a congested phase: require the rate to fall clearly below
 	// the threshold before declaring the congestion over.
-	leave := units.BitRate(i.cfg.Theta-i.cfg.Hysteresis) * i.rate
+	leave := units.BitRate(theta-hysteresis) * i.rate
 	return anticipated >= leave
 }
 

@@ -19,7 +19,7 @@ func TestPhaseString(t *testing.T) {
 }
 
 func TestInterfaceTransitions(t *testing.T) {
-	iface := NewInterface(10*units.Mbps, DefaultInterfaceConfig())
+	iface := NewInterface(10 * units.Mbps)
 	if iface.Phase() != PhasePushData {
 		t.Fatal("initial phase should be push-data")
 	}
@@ -45,20 +45,20 @@ func TestInterfaceTransitions(t *testing.T) {
 }
 
 func TestInterfaceHysteresis(t *testing.T) {
-	iface := NewInterface(10*units.Mbps, InterfaceConfig{Theta: 1.0, Hysteresis: 0.1})
+	iface := NewInterface(10 * units.Mbps)
 	iface.Update(10.5*units.Mbps, true) // enter detour
-	// 9.5 is below theta (10) but above theta-hysteresis (9): must stay
+	// 9.7 is below theta (10) but above theta-hysteresis (9.5): must stay
 	// congested to avoid flapping.
-	if got := iface.Update(9.5*units.Mbps, true); got != PhaseDetour {
+	if got := iface.Update(9.7*units.Mbps, true); got != PhaseDetour {
 		t.Errorf("within hysteresis band: %v, want detour", got)
 	}
-	if got := iface.Update(8.9*units.Mbps, true); got != PhasePushData {
+	if got := iface.Update(9.4*units.Mbps, true); got != PhasePushData {
 		t.Errorf("below hysteresis band: %v, want push-data", got)
 	}
 }
 
 func TestInterfaceOverflow(t *testing.T) {
-	iface := NewInterface(10*units.Mbps, DefaultInterfaceConfig())
+	iface := NewInterface(10 * units.Mbps)
 	if got := iface.Overflow(13 * units.Mbps); got != 3*units.Mbps {
 		t.Errorf("overflow = %v, want 3Mbps", got)
 	}

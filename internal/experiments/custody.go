@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chunknet"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -36,18 +35,6 @@ type CustodyConfig struct {
 	Chunks int64
 	// Horizon (default 5s).
 	Horizon time.Duration
-	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
-	// outcome is identical at any worker count.
-	Workers int
-	// Checkpoint, when non-empty, streams every completed scenario to
-	// this JSONL file and restores scenarios already present before
-	// running, so a killed run resumes instead of restarting.
-	Checkpoint string
-	// Obs and Trace thread observability into every scenario (see
-	// sweep.ChunkSpec); each scenario traces under its canonical sweep
-	// name. Metrics never change the result.
-	Obs   *obs.Registry
-	Trace *obs.Trace
 }
 
 func (c *CustodyConfig) applyDefaults() {
@@ -120,12 +107,10 @@ type CustodyRun struct {
 // Custody runs the experiment on the sweep engine: an aggressive push
 // into a bottleneck, once per transport on the transport axis of a
 // chunknet grid — INRPP custody+back-pressure against the AIMD and ARC
-// drop-tail baselines, all under identical offered load. With
-// cfg.Checkpoint set, completed scenarios stream to disk and a rerun
-// resumes instead of restarting.
+// drop-tail baselines, all under identical offered load.
 func Custody(cfg CustodyConfig) (*CustodyResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, custodyLabel(cfg), custodyScenarios(cfg))
+	aggs, failed, err := runExperiment(custodyScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -140,21 +125,11 @@ func Custody(cfg CustodyConfig) (*CustodyResult, error) {
 func custodyScenarios(cfg CustodyConfig) []sweep.Scenario {
 	spec := cfg.Spec()
 	grid := sweep.NewGrid().Axis("transport", "inrpp", "aimd", "arc")
-	return grid.Expand(0, 1, func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
+	return grid.Expand(0, 1, func(pt sweep.Point, _ int, seed int64) sweep.RunFunc {
 		s := spec
 		s.Transport = sweep.MustParseTransport(pt.Get("transport"))
-		s.Obs = cfg.Obs
-		s.Trace = cfg.Trace
-		s.TraceLabel = sweep.ScenarioName(pt, replica)
 		return s.Run(seed)
 	})
-}
-
-// custodyLabel derives the checkpoint config label: every non-axis
-// parameter that changes the physics of the chain.
-func custodyLabel(cfg CustodyConfig) string {
-	return fmt.Sprintf("custody ingress=%s egress=%s custody=%s buffer=%s chunksize=%s chunks=%d horizon=%s",
-		cfg.IngressRate, cfg.EgressRate, cfg.Custody, cfg.Buffer, cfg.ChunkSize, cfg.Chunks, cfg.Horizon)
 }
 
 // custodyCollect folds per-point aggregates into the experiment's

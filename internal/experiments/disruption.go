@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/topo"
@@ -36,30 +35,18 @@ type DisruptionConfig struct {
 	// times far beyond the undisrupted transfer time).
 	Horizon time.Duration
 
-	// OutageKind selects the churn family (default topo.OutageExp).
-	OutageKind topo.OutageKind
 	// OutageUps is the outage-rate axis: mean up-phase durations, one
 	// grid column each (rate = 1/up). Default 8s, 4s, 2s, 1s.
 	OutageUps []time.Duration
-	// OutageDown is the mean down-phase duration (default 500ms).
+	// OutageDown is the mean down-phase duration (default 500ms). Every
+	// outage is exponential and hard: it pauses the arc and drops
+	// in-flight packets.
 	OutageDown time.Duration
-	// OutageDownRate is the capacity while down; 0 (default) is a hard
-	// outage that pauses the arc and drops in-flight packets.
-	OutageDownRate units.BitRate
 
 	// Seeds is the number of churn realizations per grid point (default
 	// 3). Transports share seeds per (outage, replica), so each
 	// comparison sees an identical outage trace.
 	Seeds int
-	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
-	// outcome is identical at any worker count.
-	Workers int
-	// Checkpoint, when non-empty, streams completed scenarios to this
-	// JSONL file and restores them on rerun.
-	Checkpoint string
-	// Obs and Trace thread observability into every scenario.
-	Obs   *obs.Registry
-	Trace *obs.Trace
 }
 
 func (c *DisruptionConfig) applyDefaults() {
@@ -83,9 +70,6 @@ func (c *DisruptionConfig) applyDefaults() {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 60 * time.Second
-	}
-	if c.OutageKind == topo.OutageNone {
-		c.OutageKind = topo.OutageExp
 	}
 	if len(c.OutageUps) == 0 {
 		c.OutageUps = []time.Duration{8 * time.Second, 4 * time.Second, 2 * time.Second, time.Second}
@@ -131,11 +115,10 @@ type DisruptionResult struct {
 // Disruption runs the experiment on the sweep engine: each transport
 // pushes identical transfers through the custody chain while the egress
 // link churns under a seeded outage process, once per (outage rate,
-// transport, seed). With cfg.Checkpoint set, completed scenarios stream
-// to disk and a rerun resumes instead of restarting.
+// transport, seed).
 func Disruption(cfg DisruptionConfig) (*DisruptionResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, disruptionLabel(cfg), disruptionScenarios(cfg))
+	aggs, failed, err := runExperiment(disruptionScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +141,7 @@ func disruptionScenarios(cfg DisruptionConfig) []sweep.Scenario {
 		Axis("outage_up", ups...).
 		Axis("transport", "inrpp", "aimd", "arc").
 		SeedAxes("outage_up")
-	return grid.Expand(0, cfg.Seeds, func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
+	return grid.Expand(0, cfg.Seeds, func(pt sweep.Point, _ int, seed int64) sweep.RunFunc {
 		up, err := time.ParseDuration(pt.Get("outage_up"))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: bad outage_up %q: %v", pt.Get("outage_up"), err))
@@ -174,27 +157,11 @@ func disruptionScenarios(cfg DisruptionConfig) []sweep.Scenario {
 			Chunks:       cfg.Chunks,
 			Horizon:      cfg.Horizon,
 			Ti:           50 * time.Millisecond,
-			Outage: topo.OutageSpec{
-				Kind:     cfg.OutageKind,
-				Up:       up,
-				Down:     cfg.OutageDown,
-				DownRate: cfg.OutageDownRate,
-			},
-			Transport:  sweep.MustParseTransport(pt.Get("transport")),
-			Obs:        cfg.Obs,
-			Trace:      cfg.Trace,
-			TraceLabel: sweep.ScenarioName(pt, replica),
+			Outage:       topo.OutageSpec{Kind: topo.OutageExp, Up: up, Down: cfg.OutageDown},
+			Transport:    sweep.MustParseTransport(pt.Get("transport")),
 		}
 		return s.Run(seed)
 	})
-}
-
-// disruptionLabel derives the checkpoint config label: every non-axis
-// parameter that changes the physics of the churned chain.
-func disruptionLabel(cfg DisruptionConfig) string {
-	return fmt.Sprintf("disruption ingress=%s egress=%s custody=%s buffer=%s chunksize=%s chunks=%d horizon=%s kind=%s down=%s downrate=%s seeds=%d",
-		cfg.IngressRate, cfg.EgressRate, cfg.Custody, cfg.Buffer, cfg.ChunkSize, cfg.Chunks, cfg.Horizon,
-		cfg.OutageKind, cfg.OutageDown, cfg.OutageDownRate, cfg.Seeds)
 }
 
 // disruptionCollect folds per-point aggregates into result rows.

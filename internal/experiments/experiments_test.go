@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/flowsim"
-	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -178,139 +174,6 @@ func TestCustodyExperiment(t *testing.T) {
 	}
 }
 
-// tinyFig4 is the smallest meaningful Figure 4 config, for the
-// distributed-run tests: one small ISP, one seed, short horizon.
-func tinyFig4() Fig4Config {
-	return Fig4Config{
-		ISPs:            []topo.ISP{topo.VSNL},
-		TargetActive:    30,
-		DemandCap:       50 * units.Mbps,
-		UniformCapacity: 100 * units.Mbps,
-		MeanFlowSize:    20 * units.MB,
-		Horizon:         3 * time.Second,
-		Seeds:           1,
-	}
-}
-
-// tinyCustody is a scaled-down custody chain for test speed.
-func tinyCustody() CustodyConfig {
-	return CustodyConfig{
-		IngressRate: 4 * units.Gbps,
-		EgressRate:  200 * units.Mbps,
-		Custody:     units.GB,
-		Buffer:      2 * units.MB,
-		ChunkSize:   units.MB,
-		Chunks:      600,
-		Horizon:     4 * time.Second,
-	}
-}
-
-// TestExperimentCheckpointResume: Checkpoint is every experiment's resume
-// knob. A rerun on a complete checkpoint schedules no scenario and renders
-// the same report; a rerun whose config changes the physics is refused
-// with the config-label error and leaves the file's bytes untouched.
-func TestExperimentCheckpointResume(t *testing.T) {
-	// Each case runs its experiment at the tiny test config, with perturb
-	// changing one field that the checkpoint label binds.
-	cases := []struct {
-		name string
-		run  func(checkpoint string, reg *obs.Registry, perturb bool) (string, error)
-	}{
-		{"fig4", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
-			cfg := tinyFig4()
-			cfg.Checkpoint, cfg.Obs = checkpoint, reg
-			if perturb {
-				cfg.Horizon = 4 * time.Second
-			}
-			res, err := Fig4(cfg)
-			if err != nil {
-				return "", err
-			}
-			return Fig4aReport(res).String() + Fig4bReport(res).String(), nil
-		}},
-		{"custody", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
-			cfg := tinyCustody()
-			cfg.Checkpoint, cfg.Obs = checkpoint, reg
-			if perturb {
-				cfg.Chunks = 500
-			}
-			res, err := Custody(cfg)
-			if err != nil {
-				return "", err
-			}
-			return CustodyReport(res).String(), nil
-		}},
-		{"disruption", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
-			cfg := tinyDisruption()
-			cfg.Checkpoint, cfg.Obs = checkpoint, reg
-			if perturb {
-				cfg.OutageDown = 200 * time.Millisecond
-			}
-			res, err := Disruption(cfg)
-			if err != nil {
-				return "", err
-			}
-			return DisruptionReport(res).String(), nil
-		}},
-		{"failover", func(checkpoint string, reg *obs.Registry, perturb bool) (string, error) {
-			cfg := tinyFailover()
-			cfg.Checkpoint, cfg.Obs = checkpoint, reg
-			if perturb {
-				cfg.Horizon = 10 * time.Second
-			}
-			res, err := Failover(cfg)
-			if err != nil {
-				return "", err
-			}
-			return FailoverReport(res).String(), nil
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), tc.name+".jsonl")
-			scheduled := func(reg *obs.Registry) int64 {
-				return reg.Counter("sweep_scenarios_scheduled").Value()
-			}
-
-			reg := obs.New("first")
-			first, err := tc.run(path, reg, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scheduled(reg) == 0 {
-				t.Fatal("first run scheduled no scenarios")
-			}
-
-			reg = obs.New("rerun")
-			again, err := tc.run(path, reg, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := scheduled(reg); n != 0 {
-				t.Errorf("rerun on a complete checkpoint scheduled %d scenarios, want 0", n)
-			}
-			if again != first {
-				t.Errorf("resumed report differs:\n%s\n--- vs ---\n%s", again, first)
-			}
-
-			before, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tc.run(path, nil, true); err == nil || !strings.Contains(err.Error(), "recorded under config") {
-				t.Errorf("rerun under a changed config: err = %v, want the config-label error", err)
-			}
-			after, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(after, before) {
-				t.Error("refused rerun modified the checkpoint file")
-			}
-		})
-	}
-}
-
 func TestCustodyPaperDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale custody run")
@@ -338,7 +201,6 @@ func tinyDisruption() DisruptionConfig {
 		ChunkSize:   100 * units.KB,
 		Chunks:      200,
 		Horizon:     2 * time.Second,
-		OutageKind:  topo.OutageExp,
 		OutageUps:   []time.Duration{400 * time.Millisecond, 150 * time.Millisecond},
 		OutageDown:  100 * time.Millisecond,
 		Seeds:       2,

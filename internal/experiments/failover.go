@@ -6,54 +6,76 @@ import (
 	"time"
 
 	"repro/internal/chunknet"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
 
-// FailoverProfile is one failure regime of the failover experiment: a
+// failoverProfile is one failure regime of the failover experiment: a
 // detour of a given capacity beside the bottleneck, plus the failure
 // process (stochastic churn, scheduled maintenance, or both) that takes
-// the bottleneck down. The two default profiles bracket the recovery
-// frontier: "blackout" (permanent failure, full-rate detour) is the
-// regime where rerouting saves the transfer, "flutter" (rapid hard
-// churn, thin detour) the regime where custody-and-wait wins because
-// rerouting keeps committing chunks to a path that can't carry them.
-type FailoverProfile struct {
+// the bottleneck down.
+type failoverProfile struct {
 	Name        string
 	DetourRate  units.BitRate
 	Outage      topo.OutageSpec
 	Maintenance []topo.Window
 }
 
+// The failover diamond's fixed chain: ingress below the bottleneck keeps
+// INRPP's request pacing (the ingress rate) under the egress rate, so the
+// interface never enters the congestion detour phase and only failover
+// policy distinguishes the strategies. 300 chunks of 1MB offer 300MB; the
+// 15s horizon is long enough for custody-and-wait to ride out flutter,
+// short enough that a transfer trapped on the thin detour cannot finish.
+const (
+	failoverIngress   = 800 * units.Mbps
+	failoverEgress    = units.Gbps
+	failoverChunkSize = units.MB
+	failoverChunks    = 300
+	failoverHorizon   = 15 * time.Second
+)
+
+// failoverProfiles bracket the recovery frontier: "blackout" (permanent
+// failure, full-rate detour) is the regime where rerouting saves the
+// transfer, "flutter" (rapid hard churn, thin detour) the regime where
+// custody-and-wait wins because rerouting keeps committing chunks to a
+// path that can't carry them.
+var failoverProfiles = []failoverProfile{
+	{
+		// The bottleneck dies at 1s and stays down past any horizon; the
+		// detour carries the full chain rate.
+		Name:       "blackout",
+		DetourRate: failoverEgress,
+		Maintenance: []topo.Window{
+			{Start: time.Second, End: 10 * time.Minute},
+		},
+	},
+	{
+		// Rapid hard flutter (37.5% duty cycle) with only a twentieth-rate
+		// detour: riding the duty cycle sustains 3×egress/8, the detour
+		// only egress/20.
+		Name:       "flutter",
+		DetourRate: failoverEgress / 20,
+		Outage: topo.OutageSpec{
+			Kind: topo.OutageFixed,
+			Up:   300 * time.Millisecond,
+			Down: 500 * time.Millisecond,
+		},
+	},
+}
+
 // FailoverConfig parameterises the failover-replanning experiment: the
 // custody diamond (chain plus a detour node beside the bottleneck),
 // swept over failure profile × correlation × custody budget × recovery
-// strategy. Strategies at one (profile, correlation) point share seeds,
-// so each comparison replays the identical failure trace and the result
-// isolates the recovery policy.
+// strategy. A correlated cell groups the bottleneck and the detour's
+// return link into one SRLG, so the escape route fails with the nominal
+// path — the regime where no recovery strategy can win. Strategies at one
+// (profile, correlation) point share seeds, so each comparison replays
+// the identical failure trace and the result isolates the recovery
+// policy.
 type FailoverConfig struct {
-	// IngressRate and EgressRate set the chain links (defaults 800Mbps →
-	// 1Gbps). The ingress rate is also the INRPP request pacing, and the
-	// default keeps it below the bottleneck so the interface never enters
-	// the congestion detour phase — only failover policy distinguishes
-	// the strategies.
-	IngressRate units.BitRate
-	EgressRate  units.BitRate
-	// Buffer is the AIMD/ARC drop-tail buffer — unused by the default
-	// all-INRPP grid but kept so the spec stays fully determined.
-	Buffer units.ByteSize
-	// ChunkSize (default 1MB) and Chunks per transfer (default 300 =
-	// 300MB offered).
-	ChunkSize units.ByteSize
-	Chunks    int64
-	// Horizon bounds each run (default 15s — long enough for
-	// custody-and-wait to ride out flutter, short enough that a transfer
-	// trapped on the thin detour cannot finish).
-	Horizon time.Duration
-
 	// Custodies is the custody-budget axis (default 32MB, 1GB: one
 	// budget back-pressure saturates mid-run, one that absorbs the whole
 	// transfer).
@@ -61,83 +83,20 @@ type FailoverConfig struct {
 	// Strategies is the recovery-strategy axis (default hold, reroute,
 	// both).
 	Strategies []chunknet.FailoverMode
-	// Correlations is the failure-correlation axis (default false, true).
-	// A correlated cell groups the bottleneck and the detour's return
-	// link into one SRLG, so the escape route fails with the nominal
-	// path — the regime where no recovery strategy can win.
-	Correlations []bool
-	// Profiles lists the failure regimes (default blackout + flutter,
-	// scaled to the chain rates).
-	Profiles []FailoverProfile
 
 	// Seeds is the number of failure realizations per grid point
-	// (default 1 — the default profiles are deterministic, so extra
-	// seeds replay identical runs).
+	// (default 1 — the profiles are deterministic, so extra seeds replay
+	// identical runs).
 	Seeds int
-	// Workers bounds the sweep parallelism (default GOMAXPROCS). The
-	// outcome is identical at any worker count.
-	Workers int
-	// Checkpoint, when non-empty, streams completed scenarios to this
-	// JSONL file and restores them on rerun.
-	Checkpoint string
-	// Obs and Trace thread observability into every scenario.
-	Obs   *obs.Registry
-	Trace *obs.Trace
 }
 
 func (c *FailoverConfig) applyDefaults() {
-	if c.IngressRate == 0 {
-		c.IngressRate = 800 * units.Mbps
-	}
-	if c.EgressRate == 0 {
-		c.EgressRate = units.Gbps
-	}
-	if c.Buffer == 0 {
-		c.Buffer = 25 * units.MB
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = units.MB
-	}
-	if c.Chunks == 0 {
-		c.Chunks = 300
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 15 * time.Second
-	}
 	if len(c.Custodies) == 0 {
 		c.Custodies = []units.ByteSize{32 * units.MB, units.GB}
 	}
 	if len(c.Strategies) == 0 {
 		c.Strategies = []chunknet.FailoverMode{
 			chunknet.FailoverHold, chunknet.FailoverReroute, chunknet.FailoverBoth,
-		}
-	}
-	if len(c.Correlations) == 0 {
-		c.Correlations = []bool{false, true}
-	}
-	if len(c.Profiles) == 0 {
-		c.Profiles = []FailoverProfile{
-			{
-				// The bottleneck dies at 1s and stays down past any
-				// horizon; the detour carries the full chain rate.
-				Name:       "blackout",
-				DetourRate: c.EgressRate,
-				Maintenance: []topo.Window{
-					{Start: time.Second, End: 10 * time.Minute},
-				},
-			},
-			{
-				// Rapid hard flutter (37.5% duty cycle) with only a
-				// twentieth-rate detour: riding the duty cycle sustains
-				// 3×EgressRate/8, the detour only EgressRate/20.
-				Name:       "flutter",
-				DetourRate: c.EgressRate / 20,
-				Outage: topo.OutageSpec{
-					Kind: topo.OutageFixed,
-					Up:   300 * time.Millisecond,
-					Down: 500 * time.Millisecond,
-				},
-			},
 		}
 	}
 	if c.Seeds == 0 {
@@ -192,11 +151,9 @@ func (r *FailoverResult) Row(profile string, correlated bool, custody units.Byte
 // every recovery strategy pushes an identical transfer through the
 // custody diamond while the bottleneck fails under each profile's seeded
 // process, once per (profile, correlation, custody, strategy, seed).
-// With cfg.Checkpoint set, completed scenarios stream to disk and a
-// rerun resumes instead of restarting.
 func Failover(cfg FailoverConfig) (*FailoverResult, error) {
 	cfg.applyDefaults()
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, failoverLabel(cfg), failoverScenarios(cfg))
+	aggs, failed, err := runExperiment(failoverScenarios(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -212,15 +169,11 @@ func Failover(cfg FailoverConfig) (*FailoverResult, error) {
 // failure trace at each (profile, correlation, replica) — the comparison
 // isolates the recovery policy. cfg must already have defaults applied.
 func failoverScenarios(cfg FailoverConfig) []sweep.Scenario {
-	profiles := map[string]FailoverProfile{}
-	names := make([]string, len(cfg.Profiles))
-	for i, p := range cfg.Profiles {
+	profiles := map[string]failoverProfile{}
+	names := make([]string, len(failoverProfiles))
+	for i, p := range failoverProfiles {
 		names[i] = p.Name
 		profiles[p.Name] = p
-	}
-	correlateds := make([]string, len(cfg.Correlations))
-	for i, c := range cfg.Correlations {
-		correlateds[i] = strconv.FormatBool(c)
 	}
 	custodies := make([]string, len(cfg.Custodies))
 	for i, c := range cfg.Custodies {
@@ -232,11 +185,11 @@ func failoverScenarios(cfg FailoverConfig) []sweep.Scenario {
 	}
 	grid := sweep.NewGrid().
 		Axis("profile", names...).
-		Axis("correlated", correlateds...).
+		Axis("correlated", "false", "true").
 		Axis("custody", custodies...).
 		Axis("strategy", strategies...).
 		SeedAxes("profile", "correlated")
-	return grid.Expand(0, cfg.Seeds, func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
+	return grid.Expand(0, cfg.Seeds, func(pt sweep.Point, _ int, seed int64) sweep.RunFunc {
 		prof := profiles[pt.Get("profile")]
 		correlated, err := strconv.ParseBool(pt.Get("correlated"))
 		if err != nil {
@@ -252,40 +205,23 @@ func failoverScenarios(cfg FailoverConfig) []sweep.Scenario {
 		}
 		s := sweep.ChunkSpec{
 			Transport:    chunknet.INRPP,
-			IngressRate:  cfg.IngressRate,
-			EgressRate:   cfg.EgressRate,
-			ChunkSize:    cfg.ChunkSize,
+			IngressRate:  failoverIngress,
+			EgressRate:   failoverEgress,
+			ChunkSize:    failoverChunkSize,
 			Anticipation: 4096,
 			Custody:      custody,
-			Buffer:       cfg.Buffer,
 			Transfers:    1,
-			Chunks:       cfg.Chunks,
-			Horizon:      cfg.Horizon,
+			Chunks:       failoverChunks,
+			Horizon:      failoverHorizon,
 			Ti:           50 * time.Millisecond,
 			Outage:       prof.Outage,
 			Maintenance:  prof.Maintenance,
 			DetourRate:   prof.DetourRate,
 			Failover:     strategy,
 			Correlated:   correlated,
-			Obs:          cfg.Obs,
-			Trace:        cfg.Trace,
-			TraceLabel:   sweep.ScenarioName(pt, replica),
 		}
 		return s.Run(seed)
 	})
-}
-
-// failoverLabel derives the checkpoint config label: every non-axis
-// parameter that changes the physics of the failing diamond, including
-// each profile's failure process.
-func failoverLabel(cfg FailoverConfig) string {
-	label := fmt.Sprintf("failover ingress=%s egress=%s chunksize=%s chunks=%d horizon=%s seeds=%d",
-		cfg.IngressRate, cfg.EgressRate, cfg.ChunkSize, cfg.Chunks, cfg.Horizon, cfg.Seeds)
-	for _, p := range cfg.Profiles {
-		label += fmt.Sprintf(" %s[detour=%s kind=%s up=%s down=%s maint=%d]",
-			p.Name, p.DetourRate, p.Outage.Kind, p.Outage.Up, p.Outage.Down, len(p.Maintenance))
-	}
-	return label
 }
 
 // failoverCollect folds per-point aggregates into result rows.

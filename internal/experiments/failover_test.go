@@ -5,10 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/chunknet"
-	"repro/internal/units"
 )
 
 // renderFailover runs the config and renders the frontier table.
@@ -53,21 +51,6 @@ func TestGoldenFailoverReport(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("failover report bytes differ from golden fixture\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestFailoverWorkerInvariant: the frontier is byte-identical at any
-// worker count — scenario scheduling can never leak into results.
-func TestFailoverWorkerInvariant(t *testing.T) {
-	var golden []byte
-	for _, workers := range []int{1, 4} {
-		cfg := FailoverConfig{Workers: workers}
-		out := renderFailover(t, cfg)
-		if golden == nil {
-			golden = out
-		} else if !bytes.Equal(out, golden) {
-			t.Errorf("failover frontier differs between 1 and %d workers", workers)
-		}
 	}
 }
 
@@ -118,15 +101,5 @@ func TestFailoverFrontier(t *testing.T) {
 				t.Errorf("strategy %s completed a correlated blackout at custody %s", strategy, custody)
 			}
 		}
-	}
-}
-
-// tinyFailover is a scaled-down failover grid for test speed: one
-// custody budget, two strategies.
-func tinyFailover() FailoverConfig {
-	return FailoverConfig{
-		Custodies:  []units.ByteSize{32 * units.MB},
-		Strategies: []chunknet.FailoverMode{chunknet.FailoverHold, chunknet.FailoverReroute},
-		Horizon:    15 * time.Second,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/flowsim"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -27,13 +26,9 @@ type Fig4Config struct {
 	// Exodus, Tiscali).
 	ISPs []topo.ISP
 	// TargetActive is the average number of concurrently active flows.
-	// When zero it is derived per topology from LoadRatio, which keeps
-	// the three ISPs equally loaded relative to their capacity.
+	// When zero it is derived per topology from fig4OfferedLoad, which
+	// keeps the three ISPs equally loaded relative to their capacity.
 	TargetActive int
-	// LoadRatio is the offered demand as a fraction of aggregate link
-	// capacity, used when TargetActive is zero (default 0.55 — the
-	// overload regime where Fig. 4a's bars separate).
-	LoadRatio float64
 	// DemandCap is each flow's rate demand (default 300Mbps).
 	DemandCap units.BitRate
 	// MeanFlowSize for the bounded-Pareto size distribution (default
@@ -49,20 +44,12 @@ type Fig4Config struct {
 	// edges, so contention — and pooling opportunity — sits in the core;
 	// uniform capacities reproduce that regime.
 	UniformCapacity units.BitRate
-	// Workers bounds the scenario parallelism of the sweep (default
-	// runtime.GOMAXPROCS). Results are identical at any worker count.
-	Workers int
-	// Checkpoint, when non-empty, streams every completed scenario to
-	// this JSONL file and restores scenarios already present before
-	// running, so a killed run resumes instead of restarting.
-	Checkpoint string
-	// Obs and Trace thread observability into every scenario (see
-	// sweep.FlowSpec); each scenario traces under its canonical sweep
-	// name. Metrics never change the figure: the golden report tests run
-	// the experiment instrumented and require byte-identical output.
-	Obs   *obs.Registry
-	Trace *obs.Trace
 }
+
+// fig4OfferedLoad is the offered demand as a fraction of aggregate link
+// capacity when TargetActive is zero: the overload regime where Fig. 4a's
+// bars separate.
+const fig4OfferedLoad = 0.55
 
 // DefaultFig4Config returns the configuration used for EXPERIMENTS.md.
 func DefaultFig4Config() Fig4Config {
@@ -72,9 +59,6 @@ func DefaultFig4Config() Fig4Config {
 func (c *Fig4Config) applyDefaults() {
 	if len(c.ISPs) == 0 {
 		c.ISPs = topo.Fig4ISPs()
-	}
-	if c.LoadRatio == 0 {
-		c.LoadRatio = 0.55
 	}
 	if c.DemandCap == 0 {
 		c.DemandCap = 300 * units.Mbps
@@ -119,16 +103,14 @@ type Fig4TopoResult struct {
 // flow arrivals on the three ISP topologies under SP, ECMP and INRP. The
 // ISP × policy × seed grid executes on the sweep engine's worker pool; the
 // workload seed is shared across the policy axis so every policy is
-// measured on the same flows at each replica. With cfg.Checkpoint set,
-// completed scenarios stream to disk and a rerun resumes instead of
-// restarting.
+// measured on the same flows at each replica.
 func Fig4(cfg Fig4Config) ([]Fig4TopoResult, error) {
 	cfg.applyDefaults()
-	scenarios, label, err := fig4Scenarios(cfg)
+	scenarios, err := fig4Scenarios(cfg)
 	if err != nil {
 		return nil, err
 	}
-	aggs, failed, err := runExperiment(cfg.Workers, cfg.Obs, cfg.Checkpoint, label, scenarios)
+	aggs, failed, err := runExperiment(scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -138,16 +120,14 @@ func Fig4(cfg Fig4Config) ([]Fig4TopoResult, error) {
 	return fig4Collect(cfg, aggs)
 }
 
-// fig4Scenarios expands the Figure 4 grid and derives the config label
-// binding its checkpoints: every non-axis parameter that changes the
-// physics, so a rerun can only resume a run of the same configuration.
-// cfg must already have defaults applied.
-func fig4Scenarios(cfg Fig4Config) ([]sweep.Scenario, string, error) {
+// fig4Scenarios expands the Figure 4 grid. cfg must already have
+// defaults applied.
+func fig4Scenarios(cfg Fig4Config) ([]sweep.Scenario, error) {
 	specs := make(map[topo.ISP]sweep.FlowSpec, len(cfg.ISPs))
 	for _, isp := range cfg.ISPs {
 		spec, err := fig4Spec(isp, cfg)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		specs[isp] = spec
 	}
@@ -160,17 +140,11 @@ func fig4Scenarios(cfg Fig4Config) ([]sweep.Scenario, string, error) {
 		Axis("isp", isps...).
 		Axis("policy", "SP", "ECMP", "INRP").
 		SeedAxes("isp") // pair the workload across the policy axis
-	scenarios := grid.Expand(0, cfg.Seeds, func(pt sweep.Point, replica int, seed int64) sweep.RunFunc {
+	return grid.Expand(0, cfg.Seeds, func(pt sweep.Point, _ int, seed int64) sweep.RunFunc {
 		spec := specs[topo.ISP(pt.Get("isp"))]
 		spec.Policy = sweep.MustParsePolicy(pt.Get("policy"))
-		spec.Obs = cfg.Obs
-		spec.Trace = cfg.Trace
-		spec.TraceLabel = sweep.ScenarioName(pt, replica)
 		return spec.Run(seed)
-	})
-	label := fmt.Sprintf("fig4 target=%d load=%g demand=%s size=%s horizon=%s capacity=%s",
-		cfg.TargetActive, cfg.LoadRatio, cfg.DemandCap, cfg.MeanFlowSize, cfg.Horizon, cfg.UniformCapacity)
-	return scenarios, label, nil
+	}), nil
 }
 
 // fig4Collect folds per-point aggregates into per-topology figure rows.
@@ -212,8 +186,8 @@ func fig4Spec(isp topo.ISP, cfg Fig4Config) (sweep.FlowSpec, error) {
 	}
 	target := cfg.TargetActive
 	if target == 0 {
-		// Offered demand = LoadRatio × aggregate one-direction capacity.
-		target = int(cfg.LoadRatio * float64(g.NumLinks()) * float64(cfg.UniformCapacity) / float64(cfg.DemandCap))
+		// Offered demand = fig4OfferedLoad × aggregate one-direction capacity.
+		target = int(fig4OfferedLoad * float64(g.NumLinks()) * float64(cfg.UniformCapacity) / float64(cfg.DemandCap))
 		if target < 1 {
 			target = 1
 		}

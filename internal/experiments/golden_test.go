@@ -3,13 +3,11 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -27,9 +25,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden Fig4 report fixture")
 
-// goldenFig4Config is the reduced-scale Figure 4 run both golden tests
-// share; reg and tr optionally instrument it.
-func goldenFig4Config(reg *obs.Registry, tr *obs.Trace) Fig4Config {
+// goldenFig4Config is the reduced-scale Figure 4 run the golden test
+// renders.
+func goldenFig4Config() Fig4Config {
 	return Fig4Config{
 		ISPs:            []topo.ISP{topo.Exodus},
 		TargetActive:    120,
@@ -37,8 +35,6 @@ func goldenFig4Config(reg *obs.Registry, tr *obs.Trace) Fig4Config {
 		UniformCapacity: 450 * units.Mbps,
 		Horizon:         8 * time.Second,
 		Seeds:           1,
-		Obs:             reg,
-		Trace:           tr,
 	}
 }
 
@@ -60,7 +56,7 @@ func renderFig4(t *testing.T, cfg Fig4Config) []byte {
 }
 
 func TestGoldenFig4Report(t *testing.T) {
-	got := renderFig4(t, goldenFig4Config(nil, nil))
+	got := renderFig4(t, goldenFig4Config())
 
 	path := filepath.Join("testdata", "golden_fig4.txt")
 	if *updateGolden {
@@ -79,32 +75,5 @@ func TestGoldenFig4Report(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("Fig4 report bytes differ from seed golden fixture\ngot:\n%s\nwant:\n%s",
 			got, want)
-	}
-}
-
-// TestGoldenFig4ReportWithObs re-runs the same reduced Figure 4 fully
-// instrumented (registry + full-rate trace) and requires the rendered
-// report to match the uninstrumented fixture byte-for-byte: metrics
-// observe an experiment, they never change its physics.
-func TestGoldenFig4ReportWithObs(t *testing.T) {
-	reg := obs.New("golden-fig4")
-	tr := obs.NewTrace(io.Discard, 1)
-	got := renderFig4(t, goldenFig4Config(reg, tr))
-
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_fig4.txt"))
-	if err != nil {
-		t.Fatalf("missing golden fixture (run TestGoldenFig4Report -update-golden first): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("instrumented Fig4 report bytes differ from golden fixture")
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		"flowsim_flows_admitted", "flowsim_alloc_fills",
-		"sweep_scenarios_completed",
-	} {
-		if snap.Counters[name] == 0 {
-			t.Errorf("counter %s stayed zero; instrumentation not threaded", name)
-		}
 	}
 }

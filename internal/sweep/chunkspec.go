@@ -53,9 +53,6 @@ type ChunkSpec struct {
 	Horizon time.Duration
 	// Ti is the INRPP estimator interval (default 50ms at this scale).
 	Ti time.Duration
-	// RTO is the AIMD/ARC retransmission timeout (0 keeps the chunknet
-	// default).
-	RTO time.Duration
 	// Outage, when enabled, applies a churn process to the egress
 	// bottleneck link — the disruption axis. The scenario seed drives
 	// the churn realization, so transports at the same seed see
@@ -185,7 +182,6 @@ func (s ChunkSpec) Validate() error {
 		nonNegative{"StartSpread", float64(s.StartSpread)},
 		nonNegative{"Horizon", float64(s.Horizon)},
 		nonNegative{"Ti", float64(s.Ti)},
-		nonNegative{"RTO", float64(s.RTO)},
 		nonNegative{"Outage.Up", float64(s.Outage.Up)},
 		nonNegative{"Outage.Down", float64(s.Outage.Down)},
 		nonNegative{"Outage.DownRate", float64(s.Outage.DownRate)},
@@ -229,7 +225,6 @@ func (s ChunkSpec) Simulate(seed int64) (*chunknet.Report, error) {
 		ChunkSize:    s.ChunkSize,
 		Anticipation: s.Anticipation,
 		Ti:           s.Ti,
-		RTO:          s.RTO,
 		// The scenario seed drives the churn realization too (+1 keeps
 		// seed 0 off the chunknet default); SeedAxes excludes transport,
 		// so transports at one grid point replay the same outage trace.

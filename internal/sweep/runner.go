@@ -91,11 +91,11 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 }
 
 // ResumeCheckpointAccumulate is the sweep engine's one resume, used by
-// cmd/sweep -resume and every experiment's Checkpoint: it byte-offset-
-// indexes the checkpoint file's records, executes only the scenarios the
-// file does not cover, and feeds each restored record straight from disk
-// into acc the moment the fold cursor reaches it — never materialising
-// the restored []Result. With Shard set, scenarios outside the shard are
+// every cmd/sweep -checkpoint run: it byte-offset-indexes the checkpoint
+// file's records, executes only the scenarios the file does not cover,
+// and feeds each restored record straight from disk into acc the moment
+// the fold cursor reaches it — never materialising the restored
+// []Result. With Shard set, scenarios outside the shard are
 // observed as ErrOtherShard whether or not the file records them. A
 // missing file runs everything, like LoadCheckpoint; validation is
 // LoadCheckpoint's, record for record. It returns the restored-scenario

@@ -14,9 +14,9 @@ import (
 )
 
 // FlowSpec describes one flow-level simulation scenario: the ISP-build +
-// workload recipe previously duplicated by examples/loadsweep, cmd/flowsim
-// and the Fig. 4 harness. Build the spec, then call Scenario (for sweeps)
-// or Simulate (for one-off runs with the full flowsim.Result).
+// workload recipe shared by cmd/sweep, examples/loadsweep and the Fig. 4
+// harness. Build the spec, then call Run for a sweep scenario body or
+// Simulate for a one-off run with the full flowsim.Result.
 type FlowSpec struct {
 	// ISP selects the calibrated Table 1 topology.
 	ISP topo.ISP
