@@ -38,7 +38,7 @@ func main() {
 	format := flag.String("format", "table", "output format: table|csv")
 	quick := flag.Bool("quick", false, "reduced fig4/custody scale for a fast pass")
 	flag.Parse()
-	if err := checkFlags(*run, *format, *seeds); err != nil {
+	if err := checkFlags(*run, *format, *seeds, *horizon, *quick); err != nil {
 		fatal(err)
 	}
 
@@ -171,9 +171,11 @@ var experimentNames = []string{"all", "table1", "fig4a", "fig4b", "fig3", "custo
 
 // checkFlags rejects flag values no experiment can honour, before any
 // experiment runs: an unknown -run would print nothing, an unknown
-// -format would fall back to a text table, and -seeds below 1 would run
-// one seed.
-func checkFlags(run, format string, seeds int) error {
+// -format would fall back to a text table, -seeds below 1 would run one
+// seed, and a negative -horizon would fail only inside Fig 4, after Table
+// 1 printed. -quick sets its own seeds and horizon, so an explicit -seeds
+// or -horizon beside it would be silently overwritten.
+func checkFlags(run, format string, seeds int, horizon time.Duration, quick bool) error {
 	if !slices.Contains(experimentNames, run) {
 		return fmt.Errorf("-run %q: unknown experiment (known: %s)", run, strings.Join(experimentNames, ", "))
 	}
@@ -183,7 +185,16 @@ func checkFlags(run, format string, seeds int) error {
 	if seeds < 1 {
 		return fmt.Errorf("-seeds %d: need at least one seed", seeds)
 	}
-	return nil
+	if horizon < 0 {
+		return fmt.Errorf("-horizon %v: need 0 (the default) or a positive horizon", horizon)
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if quick && err == nil && (f.Name == "seeds" || f.Name == "horizon") {
+			err = fmt.Errorf("-quick sets its own seeds and horizon; drop -quick or -%s", f.Name)
+		}
+	})
+	return err
 }
 
 func fatal(err error) {

@@ -10,7 +10,8 @@ import (
 // TestBadFlagsFailAtParse: a flag value no experiment can honour must stop
 // the command before any experiment runs, with a non-zero exit and an
 // error naming the flag — never exit 0 with no output, fall back to a
-// text table, or silently run one seed.
+// text table, silently run one seed, let -quick overwrite an explicit
+// -seeds or -horizon, or print some tables before a bad -horizon fails.
 func TestBadFlagsFailAtParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the command")
@@ -29,6 +30,12 @@ func TestBadFlagsFailAtParse(t *testing.T) {
 		{"-format", []string{"-run", "table1", "-format", "json"}},
 		{"-seeds", []string{"-run", "fig4a", "-quick", "-seeds", "-2"}},
 		{"-seeds", []string{"-run", "fig4a", "-quick", "-seeds", "0"}},
+		// -quick would overwrite an explicit -seeds or -horizon, and a
+		// negative -horizon would fail only inside Fig 4, after Table 1.
+		{"-seeds", []string{"-run", "fig4a", "-quick", "-seeds", "5"}},
+		{"-horizon", []string{"-run", "fig4a", "-quick", "-horizon", "2s"}},
+		{"-seeds", []string{"-run", "disruption", "-quick", "-seeds", "4"}},
+		{"-horizon", []string{"-run", "all", "-horizon", "-1s"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, tc.args...)

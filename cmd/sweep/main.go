@@ -63,26 +63,8 @@
 //	hostA$ sweep -mode chunk -merge a.jsonl,b.jsonl
 //
 // Every host must pass the same grid flags. The partition hashes each
-// scenario's identity, so it balances scenario counts, not wall-clock;
-// for heterogeneous grids use the sweep service below.
-//
-// The sweep service replaces static shards with lease-based work
-// stealing (see internal/sweepd): -mode serve starts a coordinator on
-// -listen that expands the grid once, leases batches of -batch scenarios
-// with a -lease-ttl heartbeat-renewed TTL, persists every result to its
-// -checkpoint (always resuming from it at startup), and renders the
-// final table itself; -mode work starts a thin worker against
-// -coordinator URL. Both sides pick the grid family with -grid flow|chunk
-// and must be given identical grid flags — the configuration label is
-// verified on every lease and submission:
-//
-//	host0$ sweep -mode serve -grid chunk -checkpoint grid.jsonl -listen :8377
-//	hostA$ sweep -mode work -grid chunk -coordinator http://host0:8377
-//	hostB$ sweep -mode work -grid chunk -coordinator http://host0:8377
-//
-// Output is byte-identical to the single-host run at any worker count,
-// lease order or re-lease history; the coordinator's mux also serves
-// GET /state, /aggregate, /percentile, /metrics and /snapshot.
+// scenario's identity, so it balances scenario counts, not wall-clock. A
+// shard host that dies reruns its own command: -checkpoint resumes it.
 //
 // Every run is instrumented through internal/obs. -metrics ADDR serves
 // live snapshots of the shared registry over HTTP while the sweep runs
@@ -130,7 +112,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "flow", "grid mode (flow|chunk) or service mode (serve|work; pick the grid with -grid)")
+	mode := flag.String("mode", "flow", "grid mode: flow|chunk")
 	replicas := flag.Int("replicas", 3, "seed replicas per grid point")
 	seed := flag.Int64("seed", 1, "master sweep seed")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -150,20 +132,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 
-	// Sweep-service flags (-mode serve|work).
-	gridFlag := flag.String("grid", "flow", "serve/work: grid family to expand (flow|chunk); the grid axes flags apply as usual")
-	listenAddr := flag.String("listen", "127.0.0.1:8377", "serve: coordinator listen address (lease protocol + /state /aggregate /metrics)")
-	coordURL := flag.String("coordinator", "", "work: coordinator base URL (e.g. http://host:8377)")
-	batch := flag.Int("batch", 0, "serve: scenarios per lease (0 = 8); work: cap on scenarios per lease request")
-	leaseTTL := flag.Duration("lease-ttl", 0, "serve: lease time-to-live between heartbeats; expired leases re-queue (0 = 1m)")
-	pollEvery := flag.Duration("poll", 0, "work: poll interval when the coordinator has no leasable work or is unreachable (0 = 500ms)")
-	patience := flag.Duration("patience", 0, "work: give up after the coordinator has been unreachable this long (0 = 2m)")
-	workerName := flag.String("worker-name", "", "work: worker name in coordinator logs and /state (default host-pid)")
-
 	// Grid flags: both families' axes and scalars, declared in grids.go.
 	registerGrids(flag.CommandLine)
 	flag.Parse()
-	if err := checkFlags(*format, *replicas); err != nil {
+	if err := checkFlags(*mode, *format, *replicas, *workers, *traceSample, *progressEvery, *metricsLinger); err != nil {
 		fatal(err)
 	}
 
@@ -210,18 +182,7 @@ func main() {
 		go srv.Serve(ln) //nolint:errcheck — dies with the process
 	}
 
-	// In the service modes the scenario grid is picked by -grid; the
-	// classic modes are themselves the grid name.
-	gridMode := *mode
-	switch *mode {
-	case "serve", "work":
-		gridMode = *gridFlag
-	case "flow", "chunk":
-	default:
-		fatal(fmt.Errorf("unknown mode %q (known: flow, chunk, serve, work)", *mode))
-	}
-
-	scenarios, label, err := expandGrid(flag.CommandLine, gridMode, *seed, *replicas, reg, simTrace)
+	scenarios, label, err := expandGrid(flag.CommandLine, *mode, *seed, *replicas, reg, simTrace)
 	if err != nil {
 		fatal(err)
 	}
@@ -231,47 +192,6 @@ func main() {
 		if shard, err = sweep.ParseShard(*shardStr); err != nil {
 			fatal(err)
 		}
-	}
-
-	// Service modes hand off to internal/sweepd and exit: the coordinator
-	// owns the checkpoint (always resuming), the workers own nothing.
-	switch *mode {
-	case "serve":
-		if *shardStr != "" || *mergeList != "" {
-			fatal(fmt.Errorf("-mode serve cannot be combined with -shard or -merge (the coordinator always resumes from -checkpoint)"))
-		}
-		runServe(serveArgs{
-			listen:         *listenAddr,
-			checkpointPath: *checkpointPath,
-			batch:          *batch,
-			leaseTTL:       *leaseTTL,
-			label:          label,
-			scenarios:      scenarios,
-			format:         *format,
-			metricsList:    *metricsList,
-			tableTitle:     title(scenarios, *replicas, *seed, sweep.Shard{}),
-			linger:         *metricsLinger,
-			quiet:          *quiet,
-			reg:            reg,
-		})
-		return
-	case "work":
-		if *shardStr != "" || *mergeList != "" || *checkpointPath != "" {
-			fatal(fmt.Errorf("-mode work cannot be combined with -shard, -merge or -checkpoint (the coordinator owns the checkpoint)"))
-		}
-		runWork(workArgs{
-			coordinator: *coordURL,
-			name:        *workerName,
-			label:       label,
-			scenarios:   scenarios,
-			workers:     *workers,
-			max:         *batch,
-			poll:        *pollEvery,
-			patience:    *patience,
-			quiet:       *quiet,
-			reg:         reg,
-		})
-		return
 	}
 
 	// -merge: no scenario runs; stream the collected shard checkpoints
@@ -449,18 +369,33 @@ func title(scenarios []sweep.Scenario, replicas int, seed int64, shard sweep.Sha
 		base, shard, len(shard.Select(scenarios)))
 }
 
-// formats lists the values -format accepts.
-var formats = []string{"table", "csv", "json"}
+// modes and formats list the values -mode and -format accept.
+var (
+	modes   = []string{"flow", "chunk"}
+	formats = []string{"table", "csv", "json"}
+)
 
-// checkFlags rejects values no mode can honour, before any scenario runs:
-// an unknown -format would fail only after the whole grid ran, and
-// -replicas below 1 would silently run one replica.
-func checkFlags(format string, replicas int) error {
-	if !slices.Contains(formats, format) {
+// checkFlags rejects values no run can honour, before any scenario runs:
+// an unknown -mode or -format would fail only after setup or after the
+// whole grid ran, and the count and period flags below their range would
+// silently run as another value (-replicas and -trace-sample as 1,
+// -workers as GOMAXPROCS, -progress-every and -metrics-linger as 0).
+func checkFlags(mode, format string, replicas, workers, traceSample int, progressEvery, metricsLinger time.Duration) error {
+	switch {
+	case !slices.Contains(modes, mode):
+		return fmt.Errorf("-mode %q: unknown mode (known: %s)", mode, strings.Join(modes, ", "))
+	case !slices.Contains(formats, format):
 		return fmt.Errorf("-format %q: unknown format (known: %s)", format, strings.Join(formats, ", "))
-	}
-	if replicas < 1 {
+	case replicas < 1:
 		return fmt.Errorf("-replicas %d: need at least one replica", replicas)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: need 0 (GOMAXPROCS) or more workers", workers)
+	case traceSample < 1:
+		return fmt.Errorf("-trace-sample %d: need a sampling rate of at least 1", traceSample)
+	case progressEvery < 0:
+		return fmt.Errorf("-progress-every %v: need 0 (off) or a positive period", progressEvery)
+	case metricsLinger < 0:
+		return fmt.Errorf("-metrics-linger %v: need 0 (off) or a positive duration", metricsLinger)
 	}
 	return nil
 }

@@ -371,14 +371,148 @@ func TestSweepShardMerge(t *testing.T) {
 	mustFail("cannot be combined", append(shardGridArgs(), "-q", "-merge", mergeArg, "-shard", "0/3")...)
 }
 
+// TestSweepServiceChaos keeps the name of the sweep-service chaos run it
+// replaces and checks the same promise on the path that stays: a shard
+// host that crashes repeatedly is recovered by rerunning its own command.
+// Shard 0 of 2 is SIGKILLed twice mid-run, then its checkpoint gets a
+// torn final line as from a kill mid-write. Until the shard is rerun,
+// -merge must fail as incomplete (not on the torn line, and never with
+// partial output); the rerun, at another -workers count, restores what
+// the two crashed runs recorded, and the merge then equals the unsharded
+// run byte for byte.
+func TestSweepServiceChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process shard chaos run")
+	}
+	bin := buildSweep(t)
+	dir := t.TempDir()
+
+	golden, _ := runSweep(t, bin, append(shardGridArgs(), "-q")...)
+	goldenJSON, _ := runSweep(t, bin, append(shardGridArgs(), "-q", "-format", "json")...)
+
+	cps := []string{filepath.Join(dir, "shard0.jsonl"), filepath.Join(dir, "shard1.jsonl")}
+	shardArgs := func(i int) []string {
+		return append(shardGridArgs(), "-shard", fmt.Sprintf("%d/2", i), "-checkpoint", cps[i])
+	}
+	runSweep(t, bin, append(shardArgs(1), "-q")...)
+
+	// Two crashes of shard 0, each after at least one more scenario is
+	// on disk.
+	killAfterProgress(t, bin, append(shardArgs(0), "-workers", "1")...)
+	killAfterProgress(t, bin, append(shardArgs(0), "-workers", "1")...)
+
+	// A kill mid-write leaves half a record with no newline.
+	data, err := os.ReadFile(cps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	last := lines[len(lines)-1]
+	f, err := os.OpenFile(cps[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(last[:len(last)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mergeArgs := append(shardGridArgs(), "-q", "-merge", strings.Join(cps, ","))
+	var out, errb bytes.Buffer
+	cmd := exec.Command(bin, mergeArgs...)
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("merge over a crashed shard exited 0:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "merge incomplete") {
+		t.Errorf("merge over a crashed shard did not fail as incomplete:\n%s", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("merge over a crashed shard printed partial output:\n%s", out.String())
+	}
+
+	// Recovery is the shard's own command, rerun.
+	_, errOut := runSweep(t, bin, append(shardArgs(0), "-workers", "2")...)
+	m := restoredRE.FindStringSubmatch(errOut)
+	if m == nil {
+		t.Fatalf("shard 0 rerun printed no restore banner:\n%s", errOut)
+	}
+	n, _ := strconv.Atoi(m[1])
+	total, _ := strconv.Atoi(m[2])
+	if n < 2 || n >= total {
+		t.Errorf("shard 0 rerun restored %d/%d; want the two crashed runs' records and not the whole shard", n, total)
+	}
+
+	if got, _ := runSweep(t, bin, mergeArgs...); got != golden {
+		t.Errorf("merge after recovery differs from unsharded run:\n%s\n--- vs ---\n%s", got, golden)
+	}
+	if got, _ := runSweep(t, bin, append(mergeArgs, "-format", "json")...); got != goldenJSON {
+		t.Error("merged JSON after recovery differs from unsharded run")
+	}
+}
+
+// TestSweepServiceFlagGuards: the sweep service and its flags were
+// removed, so each flag it used, and each command line that started a
+// coordinator or a worker, must now stop at flag parse with a non-zero
+// exit, before any grid runs or anything listens. A script written for
+// the service fails loudly instead of running some other sweep.
+func TestSweepServiceFlagGuards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process run")
+	}
+	bin := buildSweep(t)
+	flow := []string{"-isps", "VSNL (IN)", "-flows", "10", "-replicas", "1", "-horizon", "1s", "-q"}
+	cp := filepath.Join(t.TempDir(), "x.jsonl")
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"flag provided but not defined: -grid", append(flow, "-grid", "flow")},
+		{"flag provided but not defined: -coordinator", append(flow, "-coordinator", "http://127.0.0.1:1")},
+		{"flag provided but not defined: -batch", append(flow, "-batch", "4")},
+		{"flag provided but not defined: -lease-ttl", append(flow, "-lease-ttl", "2s")},
+		{"flag provided but not defined: -poll", append(flow, "-poll", "100ms")},
+		{"flag provided but not defined: -patience", append(flow, "-patience", "60s")},
+		{"flag provided but not defined: -worker-name", append(flow, "-worker-name", "w0")},
+		// Whole coordinator and worker command lines.
+		{"flag provided but not defined: -grid", append(append([]string{"-mode", "serve", "-grid", "chunk"},
+			shardGridArgs()[2:]...), "-checkpoint", cp, "-listen", "127.0.0.1:0", "-batch", "1")},
+		{"flag provided but not defined: -grid", append(append([]string{"-mode", "work", "-grid", "chunk"},
+			shardGridArgs()[2:]...), "-coordinator", "http://127.0.0.1:1", "-worker-name", "w0")},
+		{"unknown mode", append(append([]string{"-mode", "serve"}, shardGridArgs()[2:]...), "-checkpoint", cp)},
+	} {
+		// The timeout bounds a row that wrongly starts a run that waits.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+		cancel()
+		if err == nil {
+			t.Errorf("%v: exited 0, want a flag error\n%s", tc.args, out)
+			continue
+		}
+		if !bytes.Contains(out, []byte(tc.want)) {
+			t.Errorf("%v: error does not say %q:\n%s", tc.args, tc.want, out)
+		}
+		if bytes.Contains(out, []byte("Scenario sweep")) || bytes.Contains(out, []byte("listening")) {
+			t.Errorf("%v: started a run before failing:\n%s", tc.args, out)
+		}
+	}
+	if _, err := os.Stat(cp); !os.IsNotExist(err) {
+		t.Errorf("a refused command line touched its checkpoint %s (stat: %v)", cp, err)
+	}
+}
+
 // TestSweepBadEntriesFailAtParse: a grid entry no scenario can run — a
 // non-positive flow count, a negative count, rate, size or duration, an
 // unknown enum value, an empty axis, a failover or correlation without
 // its detour — must stop the sweep at flag parse with an error naming its flag, never
 // reach the simulators (where -flows 0 panicked every scenario) or exit 0
-// with an empty or all-zero table. An unknown -format or -replicas below 1
-// fails the same way in the local, serve and merge modes, before a grid
-// runs or a coordinator listens. A removed flag fails the same way.
+// with an empty or all-zero table. An unknown -format, -replicas below 1,
+// a negative -workers, -progress-every or -metrics-linger, and
+// -trace-sample below 1 fail the same way in the local and merge modes,
+// before a grid runs, instead of running as some other value. A removed
+// mode or flag fails the same way.
 func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
@@ -388,11 +522,9 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	flow := []string{"-isps", "VSNL (IN)", "-flows", "10", "-replicas", "1", "-horizon", "1s", "-q"}
 	chunk := []string{"-mode", "chunk", "-chunks", "10", "-replicas", "1", "-horizon", "1s", "-q"}
 	// Clipped, so each row's append copies instead of sharing a tail.
-	serve := slices.Clip(append([]string{"-mode", "serve", "-grid", "flow", "-listen", "127.0.0.1:0",
-		"-checkpoint", filepath.Join(dir, "serve.jsonl")}, flow...))
 	merge := slices.Clip(append(flow, "-merge", filepath.Join(dir, "absent.jsonl")))
 	for _, tc := range []struct {
-		flag string
+		want string // text the error must hold: the flag's name or, for a removed mode or flag, Go's message
 		args []string
 	}{
 		{"-flows", append(flow, "-flows", "0")},
@@ -434,14 +566,22 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		{"-format", append(flow, "-format", "xml")},
 		{"-replicas", append(flow, "-replicas", "0")},
 		{"-replicas", append(chunk, "-replicas", "-5")},
-		{"-format", append(serve, "-format", "xml")},
-		{"-replicas", append(serve, "-replicas", "0")},
 		{"-format", append(merge, "-format", "xml")},
 		{"-replicas", append(merge, "-replicas", "-5")},
+		// Count and period flags below their range would otherwise run as
+		// GOMAXPROCS, 1 or 0.
+		{"-workers", append(flow, "-workers", "-3")},
+		{"-trace-sample", append(flow, "-trace-sample", "0")},
+		{"-trace-sample", append(flow, "-trace-sample", "-2")},
+		{"-progress-every", append(flow, "-progress-every", "-1s")},
+		{"-metrics-linger", append(flow, "-metrics-linger", "-1s")},
 		{"-agg", append(flow, "-agg", "exact")}, // removed: the fold is always exact
+		// Removed: the sweep service modes and their flags.
+		{"unknown mode", append(flow, "-mode", "serve")},
+		{"unknown mode", append(flow, "-mode", "work")},
+		{"flag provided but not defined: -listen", append(flow, "-listen", ":0")},
 	} {
-		// The timeout bounds a serve row that wrongly starts a coordinator
-		// and waits for workers.
+		// The timeout bounds a row that wrongly starts a run that waits.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
 		cancel()
@@ -452,11 +592,11 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		if bytes.Contains(out, []byte("panicked")) {
 			t.Errorf("%v: reached the simulators:\n%s", tc.args, out)
 		}
-		if bytes.Contains(out, []byte("listening on")) {
-			t.Errorf("%v: started a coordinator before failing:\n%s", tc.args, out)
+		if bytes.Contains(out, []byte("Scenario sweep")) {
+			t.Errorf("%v: ran the grid before failing:\n%s", tc.args, out)
 		}
-		if !bytes.Contains(out, []byte(tc.flag)) {
-			t.Errorf("%v: error does not name %s:\n%s", tc.args, tc.flag, out)
+		if !bytes.Contains(out, []byte(tc.want)) {
+			t.Errorf("%v: error does not say %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

@@ -231,7 +231,7 @@ func TestResumeCheckpointAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range results[1:] {
-		if err := cp.Record(res); err != nil {
+		if err := cp.record(res); err != nil {
 			t.Fatal(err)
 		}
 	}

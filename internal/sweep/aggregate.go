@@ -31,11 +31,10 @@ type Aggregate struct {
 // Aggregated groups results by point (in first-appearance order) and folds
 // each successful result's metrics into its group. Errored results only
 // increment Failed. Results the process never executed — another shard's
-// scenarios, or unrestored checkpoint placeholders (see Skipped) — are
-// excluded entirely, so a sharded run aggregates exactly what it ran.
-// It stays beside the streaming Accumulator because sweepd's live
-// /aggregate view summarises a partial result set, and the accumulator
-// tests use it as their reference.
+// scenarios (see Skipped) — are excluded entirely, so a sharded run
+// aggregates exactly what it ran. It folds Runner.Run's batch results
+// for examples/loadsweep, and it is the reference the accumulator tests
+// hold the streaming Accumulator to.
 func Aggregated(results []Result) []Aggregate {
 	var f pointFold
 	for i := range results {

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,22 +10,17 @@ import (
 	"time"
 )
 
-// ErrNotRun marks a scenario with no checkpointed result yet. Results
-// returned by LoadCheckpoint carry it for every scenario absent from the
-// file, so the caller queues exactly those.
-var ErrNotRun = errors.New("sweep: scenario not yet run")
-
 // maxCheckpointLine bounds one checkpoint record's line length (64 MiB ≈
-// 3M pooled float64 samples in one scenario). The aligned loader and the
-// streaming scanners enforce the same cap, so a file is rejected — or
-// accepted — identically on every path.
+// 3M pooled float64 samples in one scenario). The resume and the merge
+// share one scanner that enforces it, so a file is rejected — or
+// accepted — identically on both paths.
 const maxCheckpointLine = 64 * 1024 * 1024
 
-// CheckpointRecord is the stable JSONL shape of one checkpointed result:
+// checkpointRecord is the stable JSONL shape of one checkpointed result:
 // the scenario identity (name, point, replica, seed) plus its metrics.
 // Only successful results are persisted — an errored scenario must re-run
 // after a restart, and deterministically produces the same outcome.
-type CheckpointRecord struct {
+type checkpointRecord struct {
 	Name    string               `json:"name"`
 	Point   Point                `json:"point"`
 	Replica int                  `json:"replica"`
@@ -59,9 +53,10 @@ type checkpointHeader struct {
 
 // Checkpoint streams successful results to a JSONL file as scenarios
 // complete, so a killed process — not just a cancelled context — can
-// restart from disk. Each Record is one line, written and flushed
+// restart from disk. Each record is one line, written and flushed
 // atomically with respect to the file offset (O_APPEND), so a SIGKILL
-// can at worst tear the final line; LoadCheckpoint tolerates torn lines.
+// can at worst tear the final line; the resume and the merge skip torn
+// lines.
 // Methods are safe for concurrent use from the runner's workers.
 type Checkpoint struct {
 	// RecordObs, when set before recording, embeds a RunObs summary
@@ -110,7 +105,7 @@ func NewCheckpoint(path, label string) (*Checkpoint, error) {
 			return nil, err
 		}
 		// A SIGKILL mid-write leaves a torn, unterminated final line;
-		// terminate it so the next Record starts on a fresh line instead
+		// terminate it so the next record starts on a fresh line instead
 		// of gluing itself (and the torn tail) into one unparseable line.
 		var last [1]byte
 		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil {
@@ -158,14 +153,14 @@ func checkHeader(f *os.File, path, label string) error {
 // Path returns the checkpoint file's path.
 func (c *Checkpoint) Path() string { return c.path }
 
-// Record persists one result. Errored results are skipped (they must
-// re-run after a restart). The line is flushed to the OS before Record
+// record persists one result. Errored results are skipped (they must
+// re-run after a restart). The line is flushed to the OS before record
 // returns, so a subsequent kill cannot lose it.
-func (c *Checkpoint) Record(r Result) error {
+func (c *Checkpoint) record(r Result) error {
 	if r.Err != nil {
 		return nil
 	}
-	rec := CheckpointRecord{
+	rec := checkpointRecord{
 		Name:    r.Name,
 		Point:   r.Point,
 		Replica: r.Replica,
@@ -199,7 +194,7 @@ func (c *Checkpoint) Record(r Result) error {
 // die because its checkpoint disk filled, it just loses resumability.
 func (c *Checkpoint) Progress(next Progress) Progress {
 	return func(done, total int, r Result) {
-		c.Record(r) //nolint:errcheck — remembered in c.err for Close
+		c.record(r) //nolint:errcheck — remembered in c.err for Close
 		if next != nil {
 			next(done, total, r)
 		}
@@ -216,75 +211,15 @@ func (c *Checkpoint) Close() error {
 	return c.err
 }
 
-// LoadCheckpoint reads a checkpoint file and aligns its records to the
-// given scenario list, returning one Result per scenario in scenario
-// order: checkpointed scenarios carry their persisted metrics, the rest
-// carry ErrNotRun. The second return is the number of scenarios restored.
-// It stays beside the streaming ResumeCheckpointAccumulate because the
-// sweepd coordinator restores a checkpoint into memory with it: it must
-// hold every result to serve leases and its live views.
-//
-// The file may be from a process killed mid-write (a torn final line is
-// skipped) and may hold records in any completion order. Three checks
-// keep foreign checkpoints out: records naming an unknown scenario
-// (different grid), records disagreeing with the scenario's derived seed
-// (different master seed), and a header label differing from the given
-// label (different non-axis configuration — see NewCheckpoint) all fail
-// loudly rather than silently mixing sweeps. A missing file is not an
-// error — it loads zero scenarios, so "always resume" scripts work on
-// first run.
-func LoadCheckpoint(path, label string, scenarios []Scenario) ([]Result, int, error) {
-	results := make([]Result, len(scenarios))
-	index := make(map[string]int, len(scenarios))
-	for i, sc := range scenarios {
-		results[i] = Result{Name: sc.Name, Point: sc.Point, Replica: sc.Replica, Seed: sc.Seed, Err: ErrNotRun}
-		index[sc.Name] = i
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return results, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("sweep: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	if err := checkHeader(f, path, label); err != nil {
-		return nil, 0, err
-	}
-
-	loaded := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1024*1024), maxCheckpointLine)
-	for sc.Scan() {
-		i, rec, skip, err := classifyCheckpointLine(sc.Bytes(), path, scenarios, index)
-		if err != nil {
-			return nil, 0, err
-		}
-		if skip {
-			continue
-		}
-		if results[i].Err == nil {
-			continue // duplicate record (recorded again after a resume); first wins
-		}
-		results[i].Metrics = Metrics{Values: rec.Values, Samples: rec.Samples}
-		results[i].Err = nil
-		loaded++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("sweep: read checkpoint: %w", err)
-	}
-	return results, loaded, nil
-}
-
 // classifyCheckpointLine applies the checkpoint scan rules — shared by
-// LoadCheckpoint and the streaming merge, which must accept and reject
-// exactly the same lines. Blank lines, the header line, and torn
+// the resume and the merge through scanRecordOffsets, so both accept and
+// reject exactly the same lines. Blank lines, the header line, and torn
 // (unparseable) lines from a killed writer are skipped; records naming a
 // scenario the grid cannot derive, or disagreeing with its derived seed,
 // fail loudly; everything else returns the scenario index and the parsed
 // record. index must map each scenario's Name to its position in
 // scenarios.
-func classifyCheckpointLine(line []byte, path string, scenarios []Scenario, index map[string]int) (i int, rec CheckpointRecord, skip bool, err error) {
+func classifyCheckpointLine(line []byte, path string, scenarios []Scenario, index map[string]int) (i int, rec checkpointRecord, skip bool, err error) {
 	if len(line) == 0 {
 		return 0, rec, true, nil
 	}

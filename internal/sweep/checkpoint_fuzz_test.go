@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -23,12 +24,13 @@ const fuzzLabel = "fuzz config"
 
 // FuzzLoadCheckpoint throws arbitrary bytes at the checkpoint JSONL parser
 // — torn lines, truncated JSON, foreign-grid headers, duplicate and
-// seed-mismatched records — and checks the documented repair semantics:
-// never panic, never return a malformed result set, and on success align
-// exactly one result per scenario with ErrNotRun marking everything not
-// restored. The streaming merge scanner is fuzzed against the same bytes,
-// since it promises LoadCheckpoint's accept/reject rules record for
-// record.
+// seed-mismatched records — and checks the documented repair semantics of
+// the resume: never panic, and on success account for every scenario
+// exactly once, either restored from the file or executed, with the
+// restored count saying which. The streaming merge is fuzzed against the
+// same bytes, since it promises the resume's accept/reject rules record
+// for record: a file the resume rejects the merge rejects too, and a file
+// the merge accepts whole resumes without running anything.
 func FuzzLoadCheckpoint(f *testing.F) {
 	scenarios := fuzzScenarios()
 	record := func(i int, seed int64) string {
@@ -59,36 +61,42 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		results, n, err := LoadCheckpoint(path, fuzzLabel, scenarios)
+		n, ran, acc, failed, err := resumeRun(Runner{Workers: 1}, path, fuzzLabel, scenarios)
 		if err == nil {
-			if len(results) != len(scenarios) {
-				t.Fatalf("LoadCheckpoint returned %d results for %d scenarios", len(results), len(scenarios))
+			if len(failed) != 0 {
+				t.Fatalf("resume failed %d scenarios: %v", len(failed), failed[0].Err)
 			}
-			restored := 0
-			for i, res := range results {
-				if res.Name != scenarios[i].Name || res.Seed != scenarios[i].Seed {
-					t.Fatalf("result %d identity %q/%d does not match scenario %q/%d",
-						i, res.Name, res.Seed, scenarios[i].Name, scenarios[i].Seed)
-				}
-				if res.Err == nil {
-					restored++
-				} else if !errors.Is(res.Err, ErrNotRun) {
-					t.Fatalf("result %d: unexpected error %v (want ErrNotRun)", i, res.Err)
-				}
+			if n < 0 || n+len(ran) != len(scenarios) {
+				t.Fatalf("resume restored %d and ran %d of %d scenarios", n, len(ran), len(scenarios))
 			}
-			if restored != n {
-				t.Fatalf("LoadCheckpoint reported %d restored, results hold %d", n, restored)
+			aggs, aerr := acc.Aggregates()
+			if aerr != nil {
+				t.Fatalf("resume succeeded but aggregates incomplete: %v", aerr)
+			}
+			replicas := 0
+			for _, a := range aggs {
+				replicas += a.Replicas
+			}
+			if replicas != len(scenarios) {
+				t.Fatalf("resume folded %d replicas for %d scenarios", replicas, len(scenarios))
 			}
 		}
 
 		// The streaming merge path must survive (and classify) the same
 		// bytes. It may reject the file — an incomplete shard set is the
 		// normal outcome here — but must never panic and, when it
-		// succeeds, must have folded every scenario.
-		acc := NewAccumulator(AccumulatorConfig{}, scenarios)
-		if merr := MergeCheckpointsInto(acc, fuzzLabel, scenarios, path); merr == nil {
-			if _, aerr := acc.Aggregates(); aerr != nil {
+		// succeeds, must have folded every scenario the resume restored.
+		macc := NewAccumulator(AccumulatorConfig{}, scenarios)
+		merr := MergeCheckpointsInto(macc, fuzzLabel, scenarios, path)
+		if err != nil && merr == nil {
+			t.Fatalf("merge accepted a file the resume rejects: %v", err)
+		}
+		if merr == nil {
+			if _, aerr := macc.Aggregates(); aerr != nil {
 				t.Fatalf("merge succeeded but aggregates incomplete: %v", aerr)
+			}
+			if n != len(scenarios) || len(ran) != 0 {
+				t.Fatalf("merge accepted the whole file, resume restored %d and ran %d", n, len(ran))
 			}
 		}
 	})
@@ -96,7 +104,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 
 // TestLoadCheckpointDuplicateFirstWins pins the documented duplicate rule:
 // when a resume re-records a scenario, the first record is the one
-// restored — for the aligned loader and the streaming merge alike.
+// restored — for the resume and the streaming merge alike.
 func TestLoadCheckpointDuplicateFirstWins(t *testing.T) {
 	scenarios := fuzzScenarios()
 	path := filepath.Join(t.TempDir(), "dup.jsonl")
@@ -105,20 +113,24 @@ func TestLoadCheckpointDuplicateFirstWins(t *testing.T) {
 	if err := os.WriteFile(path, []byte(first+"\n"+second+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	results, n, err := LoadCheckpoint(path, "", scenarios)
+	n, ran, acc, _, err := resumeRun(Runner{Workers: 1}, path, "", scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || results[0].Err != nil {
-		t.Fatalf("restored %d, result err %v", n, results[0].Err)
+	if n != 1 || len(ran) != len(scenarios)-1 || slices.Contains(ran, scenarios[0].Name) {
+		t.Fatalf("restored %d and ran %v, want scenario 0 restored and the rest run", n, ran)
 	}
-	if got := results[0].Metrics.Values["x"]; got != 1 {
-		t.Errorf("duplicate record: restored x = %g, want first-written 1", got)
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The re-run scenarios report no x, so x holds only the restored one.
+	if got := aggs[0].Series["x"]; !slices.Equal(got, []float64{1}) {
+		t.Errorf("duplicate record: restored x = %v, want first-written [1]", got)
 	}
 
-	// The other scenarios are absent, so a merge must name them; a merge
-	// over a complete duplicate-bearing set folds the first record too.
-	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
+	// The other scenarios are absent, so a merge must name them.
+	acc = NewAccumulator(AccumulatorConfig{}, scenarios)
 	err = MergeCheckpointsInto(acc, "", scenarios, path)
 	var inc *IncompleteError
 	if !errors.As(err, &inc) || len(inc.Missing) != len(scenarios)-1 {

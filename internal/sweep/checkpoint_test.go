@@ -6,17 +6,34 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// resumeRender resumes scenarios from the checkpoint at path through
-// Runner.ResumeCheckpointAccumulate and returns the rendered aggregates
-// with the restored-scenario count.
+// resumeRun resumes scenarios from the checkpoint at path through
+// Runner.ResumeCheckpointAccumulate into a fresh accumulator. It returns
+// the restored-scenario count, the names of the scenarios the runner
+// executed instead (in completion order), the accumulator, the failed
+// results and the resume's error.
+func resumeRun(r Runner, path, label string, scenarios []Scenario) (restored int, ran []string, acc *Accumulator, failed []Result, err error) {
+	next := r.Progress
+	r.Progress = func(done, total int, res Result) {
+		ran = append(ran, res.Name) // the runner serialises Progress calls
+		if next != nil {
+			next(done, total, res)
+		}
+	}
+	acc = NewAccumulator(AccumulatorConfig{}, scenarios)
+	restored, failed, err = r.ResumeCheckpointAccumulate(context.Background(), path, label, scenarios, acc, nil)
+	return restored, ran, acc, failed, err
+}
+
+// resumeRender resumes like resumeRun and returns the rendered aggregates
+// with the restored-scenario count, failing on any error or failure.
 func resumeRender(t *testing.T, r *Runner, path, label string, scenarios []Scenario) ([]byte, int) {
 	t.Helper()
-	acc := NewAccumulator(AccumulatorConfig{}, scenarios)
-	restored, failed, err := r.ResumeCheckpointAccumulate(context.Background(), path, label, scenarios, acc, nil)
+	restored, _, acc, failed, err := resumeRun(*r, path, label, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +45,22 @@ func resumeRender(t *testing.T, r *Runner, path, label string, scenarios []Scena
 		t.Fatal(err)
 	}
 	return renderAggs(t, aggs), restored
+}
+
+// resumeComplete resumes from a checkpoint that should cover every
+// scenario: it must restore them all, execute none and render the same
+// bytes as golden.
+func resumeComplete(t *testing.T, path, label string, scenarios []Scenario, golden []byte) {
+	t.Helper()
+	out, n := resumeRender(t, &Runner{Workers: 2, Progress: func(_, _ int, res Result) {
+		t.Errorf("complete checkpoint re-ran %s", res.Name)
+	}}, path, label, scenarios)
+	if n != len(scenarios) {
+		t.Errorf("complete checkpoint restored %d of %d", n, len(scenarios))
+	}
+	if golden != nil && !bytes.Equal(out, golden) {
+		t.Errorf("checkpoint-only output differs from the live run:\n%s\n--- vs ---\n%s", out, golden)
+	}
 }
 
 // TestCheckpointKillRestart simulates the killed-process path: a first
@@ -78,27 +111,15 @@ func TestCheckpointKillRestart(t *testing.T) {
 				workers, out, golden)
 		}
 
-		// Process 3: the sweep is complete; loading again restores
-		// everything and a resume runs nothing.
-		full, n, err := LoadCheckpoint(path, "", scenarios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(scenarios) || len(Errored(full)) != 0 {
-			t.Fatalf("complete checkpoint loaded %d of %d", n, len(scenarios))
-		}
-		if out := renderAggs(t, Aggregated(full)); !bytes.Equal(out, golden) {
-			t.Errorf("workers=%d: checkpoint-only output differs from live run", workers)
-		}
-		if out, n := resumeRender(t, &Runner{Workers: workers}, path, "", scenarios); n != len(scenarios) || !bytes.Equal(out, golden) {
-			t.Errorf("workers=%d: complete-checkpoint resume restored %d of %d or changed the output", workers, n, len(scenarios))
-		}
+		// Process 3: the sweep is complete; a resume restores everything
+		// and runs nothing.
+		resumeComplete(t, path, "", scenarios, golden)
 	}
 }
 
 // TestCheckpointTornLine verifies SIGKILL-mid-write tolerance: a torn
 // final line (and the valid lines a resumed process appends after it) must
-// not corrupt the load.
+// not corrupt the resume: the torn record re-runs, every other restores.
 func TestCheckpointTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	scenarios := syntheticScenarios(7, 2)
@@ -125,9 +146,6 @@ func TestCheckpointTornLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, n, err := LoadCheckpoint(path, "", scenarios); err != nil || n != len(scenarios)-1 {
-		t.Fatalf("loaded %d (err %v), want %d (one torn record)", n, err, len(scenarios)-1)
-	}
 	out, n := resumeRender(t, &Runner{Workers: 2}, path, "", scenarios)
 	if n != len(scenarios)-1 {
 		t.Fatalf("resume restored %d, want %d (one torn record)", n, len(scenarios)-1)
@@ -138,7 +156,7 @@ func TestCheckpointTornLine(t *testing.T) {
 
 	// A resumed process appends after the torn line; NewCheckpoint must
 	// terminate the torn tail so the re-recorded result does not glue onto
-	// it, and a later load must recover every record.
+	// it, and a later resume must restore every record.
 	cp2, err := NewCheckpoint(path, "")
 	if err != nil {
 		t.Fatal(err)
@@ -150,27 +168,45 @@ func TestCheckpointTornLine(t *testing.T) {
 	if !bytes.Equal(out, golden) {
 		t.Error("recorded torn-line resume output differs from original run")
 	}
-	if _, n, err = LoadCheckpoint(path, "", scenarios); err != nil || n != len(scenarios) {
-		t.Fatalf("post-resume load: n=%d err=%v, want %d, nil", n, err, len(scenarios))
-	}
+	resumeComplete(t, path, "", scenarios, golden)
 }
 
+// TestLoadCheckpointMissingFile: resuming from a checkpoint that does not
+// exist yet restores nothing and runs every scenario exactly once, so an
+// "always resume" command works on its first run; the resume itself does
+// not create the file.
 func TestLoadCheckpointMissingFile(t *testing.T) {
 	scenarios := syntheticScenarios(7, 1)
-	loaded, n, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.jsonl"), "", scenarios)
-	if err != nil || n != 0 {
-		t.Fatalf("missing file: n=%d err=%v, want 0, nil", n, err)
+	path := filepath.Join(t.TempDir(), "absent.jsonl")
+	n, ran, acc, failed, err := resumeRun(Runner{Workers: 2}, path, "", scenarios)
+	if err != nil || n != 0 || len(failed) != 0 {
+		t.Fatalf("missing file: restored=%d failed=%d err=%v, want 0, 0, nil", n, len(failed), err)
 	}
-	for i, r := range loaded {
-		if !errors.Is(r.Err, ErrNotRun) {
-			t.Fatalf("result %d: err = %v, want ErrNotRun", i, r.Err)
-		}
-		if r.Name != scenarios[i].Name || r.Seed != scenarios[i].Seed {
-			t.Fatalf("result %d identity mismatch", i)
-		}
+	slices.Sort(ran)
+	want := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		want[i] = sc.Name
+	}
+	slices.Sort(want)
+	if !slices.Equal(ran, want) {
+		t.Fatalf("missing file ran %v, want every scenario once: %v", ran, want)
+	}
+	aggs, err := acc.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := renderAggs(t, Aggregated((&Runner{Workers: 2}).Run(context.Background(), scenarios)))
+	if out := renderAggs(t, aggs); !bytes.Equal(out, golden) {
+		t.Error("missing-file resume output differs from a plain run")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("resume created the checkpoint file: stat err = %v", err)
 	}
 }
 
+// TestLoadCheckpointRejectsForeignSweeps: a resume fails loudly, before
+// running anything, on a checkpoint recorded under another master seed
+// or another grid.
 func TestLoadCheckpointRejectsForeignSweeps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	cp, err := NewCheckpoint(path, "")
@@ -184,18 +220,24 @@ func TestLoadCheckpointRejectsForeignSweeps(t *testing.T) {
 	}
 
 	// Same grid, different master seed: every derived seed disagrees.
-	_, _, err = LoadCheckpoint(path, "", syntheticScenarios(8, 2))
+	_, ran, _, _, err := resumeRun(Runner{Workers: 2}, path, "", syntheticScenarios(8, 2))
 	if err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("different master seed: err = %v, want seed mismatch", err)
+	}
+	if len(ran) != 0 {
+		t.Errorf("different master seed: ran %d scenarios before failing", len(ran))
 	}
 
 	// Different grid: the file records scenarios the grid cannot name.
 	other := NewGrid().Axis("x", "1").Expand(7, 1, func(pt Point, replica int, seed int64) RunFunc {
 		return func(ctx context.Context) (Metrics, error) { return NewMetrics(), nil }
 	})
-	_, _, err = LoadCheckpoint(path, "", other)
+	_, ran, _, _, err = resumeRun(Runner{Workers: 2}, path, "", other)
 	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("different grid: err = %v, want unknown scenario", err)
+	}
+	if len(ran) != 0 {
+		t.Errorf("different grid: ran %d scenarios before failing", len(ran))
 	}
 }
 
@@ -215,26 +257,27 @@ func TestCheckpointConfigLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Matching label: loads and reopens cleanly.
-	if _, n, err := LoadCheckpoint(path, "buffer=25MB", scenarios); err != nil || n != len(scenarios) {
-		t.Fatalf("matching label: n=%d err=%v", n, err)
-	}
+	// Matching label: resumes and reopens cleanly.
+	resumeComplete(t, path, "buffer=25MB", scenarios, nil)
 	if cp, err = NewCheckpoint(path, "buffer=25MB"); err != nil {
 		t.Fatalf("reopen with matching label: %v", err)
 	}
 	cp.Close()
 
-	// A changed non-axis parameter must be rejected by load and reopen.
-	if _, _, err := LoadCheckpoint(path, "buffer=2MB", scenarios); err == nil ||
-		!strings.Contains(err.Error(), "buffer=25MB") {
+	// A changed non-axis parameter must be rejected by resume and reopen.
+	resume := func(path, label string) error {
+		_, _, _, _, err := resumeRun(Runner{Workers: 2}, path, label, scenarios)
+		return err
+	}
+	if err := resume(path, "buffer=2MB"); err == nil || !strings.Contains(err.Error(), "buffer=25MB") {
 		t.Errorf("changed config: err = %v, want label mismatch", err)
 	}
 	if _, err := NewCheckpoint(path, "buffer=2MB"); err == nil {
 		t.Error("reopen under a changed config should fail")
 	}
 	// As must expecting no label from a labelled file, and vice versa.
-	if _, _, err := LoadCheckpoint(path, "", scenarios); err == nil {
-		t.Error("labelled file loaded without a label")
+	if err := resume(path, ""); err == nil {
+		t.Error("labelled file resumed without a label")
 	}
 	unlabelled := filepath.Join(t.TempDir(), "plain.jsonl")
 	cp2, err := NewCheckpoint(unlabelled, "")
@@ -243,8 +286,8 @@ func TestCheckpointConfigLabel(t *testing.T) {
 	}
 	(&Runner{Workers: 2, Progress: cp2.Progress(nil)}).Run(context.Background(), scenarios)
 	cp2.Close()
-	if _, _, err := LoadCheckpoint(unlabelled, "buffer=25MB", scenarios); err == nil {
-		t.Error("unlabelled file loaded with a label expectation")
+	if err := resume(unlabelled, "buffer=25MB"); err == nil {
+		t.Error("unlabelled file resumed with a label expectation")
 	}
 }
 
@@ -256,7 +299,7 @@ func TestCheckpointSkipsErroredResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Record(Result{Name: "failed", Err: errors.New("boom")}); err != nil {
+	if err := cp.record(Result{Name: "failed", Err: errors.New("boom")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {

@@ -53,12 +53,12 @@ type recordRef struct {
 // shard count. It is the one way to recombine static shards, used by
 // cmd/sweep -merge.
 //
-// Every file is validated the way LoadCheckpoint validates a resume: a
-// header label differing from label (different non-axis configuration),
-// records naming a scenario the grid cannot derive (different grid) and
-// records disagreeing with a scenario's derived seed (different master
-// seed) all fail loudly; torn lines are skipped and duplicates within one
-// file resolve first-wins. On top of that, merge-specific checks reject
+// Every file is validated the way ResumeCheckpointAccumulate validates a
+// resume: a header label differing from label (different non-axis
+// configuration), records naming a scenario the grid cannot derive
+// (different grid) and records disagreeing with a scenario's derived seed
+// (different master seed) all fail loudly; torn lines are skipped and
+// duplicates within one file resolve first-wins. On top of that, merge-specific checks reject
 // overlapping shard sets (two files recording the same scenario), missing
 // files (unlike a resume, a merge must not silently treat a typo'd path
 // as an empty shard), and incomplete coverage — the returned
@@ -137,10 +137,9 @@ func MergeCheckpointsInto(acc *Accumulator, label string, scenarios []Scenario, 
 	return nil
 }
 
-// readLineCapped reads one newline-terminated line, enforcing the same
-// maxCheckpointLine bound LoadCheckpoint's scanner applies — without it
-// the streaming paths would accept files the aligned loader rejects, and
-// an adversarial newline-free file could balloon memory. The cap is
+// readLineCapped reads one newline-terminated line, enforcing the
+// maxCheckpointLine bound — without it an adversarial newline-free file
+// could balloon memory. The cap is
 // checked per buffer fill, so at most one extra buffer is held past it.
 func readLineCapped(r *bufio.Reader) ([]byte, error) {
 	var line []byte
@@ -171,7 +170,7 @@ func readRecordAt(f *os.File, path string, ref recordRef, sc Scenario, buf []byt
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
 		return Result{}, buf, fmt.Errorf("sweep: reread checkpoint %s: %w", path, err)
 	}
-	var rec CheckpointRecord
+	var rec checkpointRecord
 	if err := json.Unmarshal(buf, &rec); err != nil {
 		return Result{}, buf, fmt.Errorf("sweep: reread checkpoint %s: record for %q changed underfoot: %w",
 			path, sc.Name, err)
@@ -186,8 +185,8 @@ func readRecordAt(f *os.File, path string, ref recordRef, sc Scenario, buf []byt
 	}, buf, nil
 }
 
-// scanRecordOffsets reads a checkpoint file line by line, applying exactly
-// LoadCheckpoint's accept/reject rules — skip blanks, skip the header line,
+// scanRecordOffsets reads a checkpoint file line by line, applying the
+// checkpoint accept/reject rules — skip blanks, skip the header line,
 // skip torn/unparseable lines, reject unknown scenarios and seed
 // mismatches — and calls visit with each accepted record's scenario index,
 // byte offset and length.

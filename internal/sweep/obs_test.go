@@ -53,7 +53,7 @@ func TestRunnerObsCounters(t *testing.T) {
 
 // TestCheckpointRecordObs checks the opt-in per-scenario observability
 // summary: with RecordObs set every record carries an obs block, the file
-// still loads (the loader ignores it), and a default checkpoint of the
+// still resumes (the resume ignores it), and a default checkpoint of the
 // same sweep contains no obs fields at all — old readers and old files
 // are both unaffected.
 func TestCheckpointRecordObs(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCheckpointRecordObs(t *testing.T) {
 	sc := bufio.NewScanner(f)
 	records := 0
 	for sc.Scan() {
-		var rec CheckpointRecord
+		var rec checkpointRecord
 		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Name == "" {
 			continue // header line
 		}
@@ -100,14 +100,8 @@ func TestCheckpointRecordObs(t *testing.T) {
 		t.Fatalf("checkpoint holds %d records, want %d", records, len(scenarios))
 	}
 
-	// The loader must restore a RecordObs file exactly like a plain one.
-	loaded, n, err := LoadCheckpoint(withObs, "obs-test", syntheticScenarios(7, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(scenarios) || len(Errored(loaded)) != 0 {
-		t.Fatalf("loaded %d of %d from obs checkpoint", n, len(scenarios))
-	}
+	// The resume must restore a RecordObs file exactly like a plain one.
+	resumeComplete(t, withObs, "obs-test", syntheticScenarios(7, 1), nil)
 
 	// Default-config files must not mention obs at all.
 	plain, err := os.ReadFile(record(false))

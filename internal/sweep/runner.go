@@ -52,8 +52,10 @@ type Runner struct {
 // never re-checks it (the shipped simulators are single-shot) runs to
 // completion first, so cancellation latency is bounded by the longest
 // in-flight scenario. With Shard set, only the shard's scenarios execute;
-// the rest complete immediately with ErrOtherShard. Run stays beside the
-// streaming paths because the sweepd worker submits per-scenario results.
+// the rest complete immediately with ErrOtherShard. Run is the batch path
+// for callers that want every Result (examples/loadsweep,
+// examples/custody); the accumulator tests use it with Aggregated as the
+// reference the streaming paths must match.
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 	results := make([]Result, len(scenarios))
 	indices := make([]int, 0, len(scenarios))
@@ -97,8 +99,15 @@ func (r *Runner) Accumulate(ctx context.Context, scenarios []Scenario, acc *Accu
 // the fold cursor reaches it — never materialising the restored
 // []Result. With Shard set, scenarios outside the shard are
 // observed as ErrOtherShard whether or not the file records them. A
-// missing file runs everything, like LoadCheckpoint; validation is
-// LoadCheckpoint's, record for record. It returns the restored-scenario
+// missing file runs everything, so "always resume" scripts work on the
+// first run. The file may come from a process killed mid-write (a torn
+// line is skipped) and may hold records in any completion order, or the
+// same scenario twice (the first record wins). Records naming a scenario
+// the grid cannot derive (different grid), records disagreeing with a
+// scenario's derived seed (different master seed) and a header label
+// differing from label (different non-axis configuration — see
+// NewCheckpoint) all fail loudly instead of mixing sweeps; the merge
+// applies the same rules. It returns the restored-scenario
 // count alongside Accumulate's results; onRestored, when non-nil, receives
 // that count after indexing but before any scenario executes, so a CLI can
 // confirm the restore up front instead of hours later. The file must not
@@ -344,10 +353,9 @@ func Errored(results []Result) []int {
 }
 
 // Skipped reports whether a result marks a scenario this process never
-// executed — a restore placeholder (ErrNotRun) or another shard's
-// scenario (ErrOtherShard) — as opposed to one that ran and failed.
-// Aggregated excludes skipped results from both replica and failure
-// counts.
+// executed — another shard's scenario (ErrOtherShard) — as opposed to one
+// that ran and failed. Aggregated excludes skipped results from both
+// replica and failure counts.
 func Skipped(r Result) bool {
-	return errors.Is(r.Err, ErrNotRun) || errors.Is(r.Err, ErrOtherShard)
+	return errors.Is(r.Err, ErrOtherShard)
 }

@@ -9,11 +9,11 @@ set -eu
 cd "$(dirname "$0")/.." || exit 1
 
 workdir="$(mktemp -d)"
-pids=""
+pid=""
 cleanup() {
-    for p in $pids; do
-        kill "$p" 2>/dev/null || true
-    done
+    if [ -n "$pid" ]; then
+        kill "$pid" 2>/dev/null || true
+    fi
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -28,7 +28,6 @@ go build -o "$workdir/sweep" ./cmd/sweep
     -metrics 127.0.0.1:0 -metrics-linger 60s \
     >"$workdir/stdout" 2>"$workdir/stderr" &
 pid=$!
-pids="$pid"
 
 # Wait for the sweep to finish and the endpoint to enter its linger
 # phase; the address line appears first, the linger banner last.
@@ -77,69 +76,6 @@ check "$workdir/prom" '^flowsim_flows_admitted [1-9]' "flowsim counters present"
 check "$workdir/snap" '"registry": "sweep"' "snapshot registry name"
 check "$workdir/snap" '"counters"' "snapshot counters section"
 check "$workdir/snap" '"sweep_scenarios_completed": 2' "snapshot completed value"
-
-# Sweep-service surface: a mini coordinator drained by one worker, its
-# /metrics, /snapshot and /state scraped while it lingers on the final
-# state. This keeps the coordinator's HTTP mux in the same no-rot
-# contract as the plain -metrics endpoint.
-echo "metrics-smoke: sweep-service scrape..." >&2
-"$workdir/sweep" \
-    -mode serve -grid chunk \
-    -transports inrpp,aimd -transfers 1 -chunksize 10KB -chunks 5000 \
-    -ingress 2Gbps -egress 1Gbps -buffer 1MB -horizon 1s \
-    -replicas 1 -seed 1 -q \
-    -checkpoint "$workdir/coord.jsonl" -listen 127.0.0.1:0 \
-    -metrics-linger 60s \
-    >"$workdir/coord.out" 2>"$workdir/coord.err" &
-coord=$!
-pids="$pids $coord"
-
-surl=""
-for _ in $(seq 1 100); do
-    surl="$(sed -n 's/.*coordinator listening on \(http:\/\/[0-9.:]*\).*/\1/p' "$workdir/coord.err")"
-    [ -n "$surl" ] && break
-    if ! kill -0 "$coord" 2>/dev/null; then
-        echo "metrics-smoke: coordinator exited before listening; stderr:" >&2
-        cat "$workdir/coord.err" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$surl" ]; then
-    echo "metrics-smoke: no coordinator address on stderr" >&2
-    cat "$workdir/coord.err" >&2
-    exit 1
-fi
-
-"$workdir/sweep" -mode work -grid chunk \
-    -transports inrpp,aimd -transfers 1 -chunksize 10KB -chunks 5000 \
-    -ingress 2Gbps -egress 1Gbps -buffer 1MB -horizon 1s \
-    -replicas 1 -seed 1 -q \
-    -coordinator "$surl" -worker-name smoke -poll 100ms \
-    2>"$workdir/worker.err" &
-pids="$pids $!"
-
-for _ in $(seq 1 150); do
-    if grep -q "serving final state" "$workdir/coord.err"; then
-        break
-    fi
-    sleep 0.2
-done
-if ! grep -q "serving final state" "$workdir/coord.err"; then
-    echo "metrics-smoke: coordinator never reached its linger phase" >&2
-    cat "$workdir/coord.err" "$workdir/worker.err" >&2
-    exit 1
-fi
-echo "metrics-smoke: scraping $surl" >&2
-
-curl -fsS "$surl/metrics" >"$workdir/coord.prom"
-curl -fsS "$surl/snapshot" >"$workdir/coord.snap"
-curl -fsS "$surl/state" >"$workdir/coord.state"
-
-check "$workdir/coord.prom" '^# TYPE sweepd_leases_granted counter$' "coordinator prometheus TYPE line"
-check "$workdir/coord.prom" '^sweepd_records_accepted 2$' "coordinator accepted counter value"
-check "$workdir/coord.snap" '"sweepd_scenarios_total": 2' "coordinator snapshot total"
-check "$workdir/coord.state" '"complete":true' "coordinator /state completion"
 
 if [ "$fail" = 0 ]; then
     echo "metrics-smoke: ok" >&2

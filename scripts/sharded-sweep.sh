@@ -12,11 +12,9 @@
 #       -chunksize 100KB -chunks 5000 -replicas 2 -seed 7
 #
 # On real machines the shard runs happen on different hosts and the
-# checkpoint files are copied back before -merge. This is the static
-# half of the story: shards are fixed up front and a straggler holds the
-# whole sweep. For dynamic load balancing over the same grid, use the
-# sweep service instead (sweepd-local.sh, "Static shards vs the sweep
-# service" in README.md).
+# checkpoint files are copied back before -merge. Shards are fixed up
+# front; a host that dies reruns its own shard command, which resumes
+# from its checkpoint ("Distributing a sweep" in README.md).
 set -eu
 
 # The shard count is optional: consume $1 only when it is numeric, so
