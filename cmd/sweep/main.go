@@ -77,7 +77,9 @@
 // the same counters; -q silences it along with the per-scenario lines.
 // -checkpoint-obs embeds a per-scenario observability summary in
 // checkpoint records (old readers ignore it; default off keeps files
-// byte-identical to pre-observability checkpoints).
+// byte-identical to pre-observability checkpoints). -checkpoint-obs,
+// -metrics-linger and -trace-sample exit with an error when given
+// without the -checkpoint, -metrics or -trace they qualify.
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // sweep for performance work (see the README benchmarking cookbook);
@@ -136,6 +138,9 @@ func main() {
 	registerGrids(flag.CommandLine)
 	flag.Parse()
 	if err := checkFlags(*mode, *format, *replicas, *workers, *traceSample, *progressEvery, *metricsLinger); err != nil {
+		fatal(err)
+	}
+	if err := checkCompanions(flag.CommandLine); err != nil {
 		fatal(err)
 	}
 
@@ -398,6 +403,26 @@ func checkFlags(mode, format string, replicas, workers, traceSample int, progres
 		return fmt.Errorf("-metrics-linger %v: need 0 (off) or a positive duration", metricsLinger)
 	}
 	return nil
+}
+
+// companions maps each flag that only qualifies another to the flag it
+// qualifies.
+var companions = map[string]string{
+	"checkpoint-obs": "checkpoint",
+	"metrics-linger": "metrics",
+	"trace-sample":   "trace",
+}
+
+// checkCompanions rejects a qualifying flag given without the flag it
+// qualifies, which would otherwise be silently ignored.
+func checkCompanions(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if need, ok := companions[f.Name]; ok && err == nil && fs.Lookup(need).Value.String() == "" {
+			err = fmt.Errorf("-%s has no effect without -%s", f.Name, need)
+		}
+	})
+	return err
 }
 
 // render writes the accumulator's aggregates in the format checkFlags

@@ -511,8 +511,10 @@ func TestSweepServiceFlagGuards(t *testing.T) {
 // with an empty or all-zero table. An unknown -format, -replicas below 1,
 // a negative -workers, -progress-every or -metrics-linger, and
 // -trace-sample below 1 fail the same way in the local and merge modes,
-// before a grid runs, instead of running as some other value. A removed
-// mode or flag fails the same way.
+// before a grid runs, instead of running as some other value. So do
+// -checkpoint-obs, -metrics-linger and -trace-sample without the
+// -checkpoint, -metrics or -trace they qualify. A removed mode or flag
+// fails the same way.
 func TestSweepBadEntriesFailAtParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep run")
@@ -575,6 +577,10 @@ func TestSweepBadEntriesFailAtParse(t *testing.T) {
 		{"-trace-sample", append(flow, "-trace-sample", "-2")},
 		{"-progress-every", append(flow, "-progress-every", "-1s")},
 		{"-metrics-linger", append(flow, "-metrics-linger", "-1s")},
+		// A flag that only qualifies another is not ignored without it.
+		{"-checkpoint-obs has no effect without -checkpoint", append(flow, "-checkpoint-obs")},
+		{"-metrics-linger has no effect without -metrics", append(flow, "-metrics-linger", "5s")},
+		{"-trace-sample has no effect without -trace", append(flow, "-trace-sample", "7")},
 		{"-agg", append(flow, "-agg", "exact")}, // removed: the fold is always exact
 		// Removed: the sweep service modes and their flags.
 		{"unknown mode", append(flow, "-mode", "serve")},

@@ -48,6 +48,32 @@ func TestCustodyBasics(t *testing.T) {
 	}
 }
 
+// TestCustodyReset: a reset store is indistinguishable from a new one
+// of the same capacity, and refilling it reuses the queue array.
+func TestCustodyReset(t *testing.T) {
+	c := NewCustody(100)
+	for i := 0; i < 8; i++ {
+		c.Offer(uint64(i), 10, time.Duration(i)*time.Second)
+	}
+	c.Pop(9 * time.Second)
+	c.Offer(99, 50, 10*time.Second) // rejected
+	c.Reset(50)
+	fresh := NewCustody(50)
+	if c.Len() != 0 || c.Used() != 0 || c.Capacity() != 50 || c.Stats() != fresh.Stats() ||
+		c.ResidencySeconds() != fresh.ResidencySeconds() || c.MeanOccupancyAt(time.Second) != 0 {
+		t.Fatalf("reset store differs from a new one: len %d used %v cap %v stats %+v",
+			c.Len(), c.Used(), c.Capacity(), c.Stats())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.Reset(50)
+		for i := 0; i < 5; i++ {
+			c.Offer(uint64(i), 10, 0)
+		}
+	}); allocs > 0 {
+		t.Errorf("refilling a reset store allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestCustodyZeroCapacity(t *testing.T) {
 	c := NewCustody(0)
 	if c.Offer(1, 1, 0) {

@@ -49,6 +49,12 @@ func NewCustody(capacity units.ByteSize) *Custody {
 	return &Custody{capacity: capacity}
 }
 
+// Reset empties the store and sets its byte capacity, as NewCustody
+// would, but keeps the queue's backing array for reuse.
+func (c *Custody) Reset(capacity units.ByteSize) {
+	*c = Custody{capacity: capacity, q: c.q[:0]}
+}
+
 // Offer attempts to take custody of a chunk at time now. It returns false
 // — and records a rejection — when the chunk does not fit.
 func (c *Custody) Offer(key uint64, size units.ByteSize, now time.Duration) bool {

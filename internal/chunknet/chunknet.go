@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
@@ -209,6 +208,9 @@ type Sim struct {
 	// recycled here, so per-chunk forwarding allocates nothing in steady
 	// state (see newPacket/freePacket in arc.go).
 	pktFree []*packet
+	// warm holds the buffers taken over from an earlier Sim until Run
+	// hands them on (see warm.go).
+	warm *warmBufs
 	// residualFn is the measured-residual adapter handed to the planner,
 	// bound once instead of per estimator tick.
 	residualFn core.ResidualFunc
@@ -268,14 +270,18 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("chunknet: unknown failover mode %d", int(cfg.Failover))
 	}
 	cfg.applyDefaults()
+	w := warmPool.Get().(*warmBufs)
 	s := &Sim{
 		cfg:     cfg,
 		g:       cfg.Graph,
-		des:     des.New(),
+		des:     w.des,
 		planner: core.NewPlanner(cfg.Graph, cfg.Planner),
 		flows:   make(map[int]*flowState),
 		spTrees: make(map[topo.NodeID]*route.Tree),
+		pktFree: w.pkts,
+		warm:    w,
 	}
+	w.pkts = nil
 	s.rep.Transport = cfg.Transport
 	s.rep.Completions = make(map[int]time.Duration)
 	s.rep.DeliveredPerFlow = make(map[int]int64)
@@ -321,7 +327,8 @@ func New(cfg Config) (*Sim, error) {
 				outage:   l.Outage,
 				calendar: l.Calendar,
 				lossProb: l.LossProb,
-				store:    cache.NewCustody(storeCap),
+				store:    w.store(storeCap),
+				pktq:     pop(&w.pktqs),
 			}
 			a.txDoneFn = a.txDone
 			a.arriveFn = a.deliverHead
@@ -510,7 +517,8 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 // Run executes the simulation until the given horizon (virtual time) and
 // returns the report. It can only be called once: a second call would
 // replay flow kicks over consumed state and silently corrupt the report,
-// so it panics instead.
+// so it panics instead. Run ends by handing the Sim's buffers to the next
+// New (warm.go); the returned Report stays valid.
 func (s *Sim) Run(until time.Duration) *Report {
 	if s.ran {
 		panic("chunknet: Sim.Run called twice")
@@ -567,6 +575,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 	}
 	s.des.RunUntil(until)
 	s.finalize(until)
+	s.release()
 	return &s.rep
 }
 

@@ -83,7 +83,7 @@ func (s *Sim) startChurn() {
 		}
 		if a.outage.Enabled() {
 			seed := splitmix64(uint64(s.cfg.ChurnSeed)<<16 + uint64(idx))
-			a.churnRng = rand.New(rand.NewSource(int64(seed)))
+			a.churnRng = s.warm.rand(int64(seed))
 			a.churnFn = a.churnTick
 			s.des.After(sampleChurn(a.churnRng, a.outage, a.outage.Up), a.churnFn)
 		}
@@ -95,13 +95,13 @@ func (s *Sim) startChurn() {
 			// collides with any churn stream (arc indexes and SRLG
 			// indexes stay far below 2^63).
 			seed := splitmix64((uint64(s.cfg.ChurnSeed)<<16 + uint64(idx)) ^ (1 << 63))
-			a.lossRng = rand.New(rand.NewSource(int64(seed)))
+			a.lossRng = s.warm.rand(int64(seed))
 		}
 	}
 	for gi, grp := range s.srlgs {
 		if grp.outage.Enabled() {
 			seed := splitmix64(uint64(s.cfg.ChurnSeed)<<16 + uint64(2*s.g.NumLinks()+gi))
-			grp.rng = rand.New(rand.NewSource(int64(seed)))
+			grp.rng = s.warm.rand(int64(seed))
 			grp.tickFn = grp.tick
 			s.des.After(sampleChurn(grp.rng, grp.outage, grp.outage.Up), grp.tickFn)
 		}

@@ -69,7 +69,10 @@ type flowState struct {
 func (s *Sim) arrive(p *packet, a *arcState) {
 	node := a.to
 	if len(p.rest) > 0 && p.rest[0] == node {
-		p.rest = p.rest[1:]
+		// Shift down rather than reslice, so the route keeps its backing
+		// array from the start: a packet recycled at delivery then still
+		// has the capacity for its next route (routes are a few nodes).
+		p.rest = p.rest[:copy(p.rest, p.rest[1:])]
 	}
 	switch p.kind {
 	case pktData:

@@ -68,6 +68,22 @@ type Simulator struct {
 // New returns a simulator with the clock at zero.
 func New() *Simulator { return &Simulator{} }
 
+// Reset returns the simulator to the state New gives, keeping its
+// arrays: the clock and sequence restart at zero, every pending callback
+// is dropped and the instruments are unbound. Every slot is freed with
+// its generation bumped, so a Timer taken before the reset stays inert.
+// Slot ids are handed out again from zero upward, as in a new simulator;
+// ids never order events, so reuse changes no firing order.
+func (s *Simulator) Reset() {
+	clear(s.fns)
+	free := s.free[:0]
+	for id := len(s.fns) - 1; id >= 0; id-- {
+		s.gens[id]++
+		free = append(free, int32(id))
+	}
+	*s = Simulator{heap: s.heap[:0], fns: s.fns, gens: s.gens, free: free}
+}
+
 // Instrument binds the simulator's kernel metrics to reg:
 //
 //   - des_events_scheduled counts At/After calls and reserved keys

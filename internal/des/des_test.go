@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/obs"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,50 @@ func TestStaleTimerCancel(t *testing.T) {
 	s.Run()
 	if !secondFired {
 		t.Error("stale Cancel clobbered a reused event")
+	}
+}
+
+// TestReset: a reset simulator drops its pending events and instruments,
+// restarts its clock, leaves every earlier Timer inert, and keeps its
+// arrays — scheduling into them again allocates nothing.
+func TestReset(t *testing.T) {
+	reg := obs.New("des")
+	s := New()
+	s.Instrument(reg)
+	var fired []int
+	var stale []Timer
+	for i := 0; i < 64; i++ {
+		stale = append(stale, s.After(time.Duration(i)*time.Millisecond, func() { fired = append(fired, -1) }))
+	}
+	s.RunUntil(20 * time.Millisecond)
+	fired = fired[:0]
+	s.Reset()
+	if s.Now() != 0 || s.Pending() != 0 {
+		t.Fatalf("after Reset: now %v, %d pending; want 0, 0", s.Now(), s.Pending())
+	}
+	fn := func() { fired = append(fired, 0) }
+	// AllocsPerRun calls the function twice: 32 events in all.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 16; i++ {
+			s.At(time.Duration(32-i)*time.Millisecond, fn)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("scheduling into reset arrays allocates %.1f objects, want 0", allocs)
+	}
+	for _, tm := range stale {
+		tm.Cancel()
+	}
+	if s.Pending() != 32 {
+		t.Fatalf("a pre-Reset Timer cancelled a new event: %d of 32 pending", s.Pending())
+	}
+	scheduled := reg.Snapshot().Counters["des_events_scheduled"]
+	s.Run()
+	if len(fired) != 32 || slices.Contains(fired, -1) {
+		t.Errorf("after Reset fired %v, want 32 new events and none of the old", fired)
+	}
+	if got := reg.Snapshot().Counters["des_events_scheduled"]; got != scheduled {
+		t.Errorf("a reset simulator still counts into its old registry: %d, then %d", scheduled, got)
 	}
 }
 

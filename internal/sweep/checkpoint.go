@@ -64,10 +64,9 @@ type Checkpoint struct {
 	// byte-identical to pre-observability checkpoints unless asked.
 	RecordObs bool
 
-	mu   sync.Mutex
-	f    *os.File
-	err  error // first write error, surfaced by Close
-	path string
+	mu  sync.Mutex
+	f   *os.File
+	err error // first write error, surfaced by Close
 }
 
 // NewCheckpoint opens (creating or appending to) the checkpoint file at
@@ -119,7 +118,7 @@ func NewCheckpoint(path, label string) (*Checkpoint, error) {
 			}
 		}
 	}
-	return &Checkpoint{f: f, path: path}, nil
+	return &Checkpoint{f: f}, nil
 }
 
 // checkHeader verifies a non-empty file's header line against the
@@ -149,9 +148,6 @@ func checkHeader(f *os.File, path, label string) error {
 	}
 	return fmt.Errorf("sweep: checkpoint %s was recorded under config %q, not %q", path, hdr.Sweep, label)
 }
-
-// Path returns the checkpoint file's path.
-func (c *Checkpoint) Path() string { return c.path }
 
 // record persists one result. Errored results are skipped (they must
 // re-run after a restart). The line is flushed to the OS before record

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/chunknet"
@@ -211,6 +212,11 @@ func (s ChunkSpec) Validate() error {
 	return nil
 }
 
+// jitterRands recycles Simulate's start-jitter streams across scenarios:
+// a math/rand source is 4.9 KB, and Seed restarts exactly the stream
+// rand.New(rand.NewSource(seed)) would give.
+var jitterRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Simulate validates the spec, runs it once with the given seed and
 // returns the full chunknet report. The seed only drives transfer start
 // jitter, so two transports at the same seed see identical offered load.
@@ -244,7 +250,9 @@ func (s ChunkSpec) Simulate(seed int64) (*chunknet.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := jitterRands.Get().(*rand.Rand)
+	defer jitterRands.Put(rng)
+	rng.Seed(seed)
 	for i := 0; i < s.Transfers; i++ {
 		var start time.Duration
 		if i > 0 {

@@ -228,8 +228,8 @@ func (o *resultObserver) fail(err error) {
 	}
 }
 
-// done returns the failed results in scenario order — matching the order
-// Errored reports on the batch path — plus the first captured error.
+// done returns the failed results in scenario order, whichever order the
+// workers finished them in, plus the first captured error.
 func (o *resultObserver) done() ([]Result, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -339,17 +339,6 @@ func runOne(ctx context.Context, sc Scenario) (res Result) {
 	}
 	res.Metrics = m
 	return res
-}
-
-// Errored returns the indices of results carrying an error, in order.
-func Errored(results []Result) []int {
-	var out []int
-	for i, r := range results {
-		if r.Err != nil {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Skipped reports whether a result marks a scenario this process never

@@ -16,6 +16,17 @@ import (
 	"repro/internal/units"
 )
 
+// Errored returns the indices of results carrying an error, in order.
+func Errored(results []Result) []int {
+	var out []int
+	for i, r := range results {
+		if r.Err != nil {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestGridPoints(t *testing.T) {
 	g := NewGrid().
 		Axis("isp", "A", "B").
