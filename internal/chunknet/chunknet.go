@@ -329,6 +329,7 @@ func New(cfg Config) (*Sim, error) {
 				lossProb: l.LossProb,
 				store:    w.store(storeCap),
 				pktq:     pop(&w.pktqs),
+				pipe:     pop(&w.pipes),
 			}
 			a.txDoneFn = a.txDone
 			a.arriveFn = a.deliverHead

@@ -23,9 +23,9 @@
 //
 // The simulator is single-threaded and deterministic: the same Config
 // and transfer list always produce the same Report. A Sim that finishes
-// Run passes its DES arrays, packets, store and queue arrays and random
-// streams to the next New (warm.go), with their contents reset, so no
-// output depends on which Sim ran before. Sweeps over
+// Run passes its DES arrays, packets, store, queue and pipe arrays and
+// random streams to the next New (warm.go), with their contents reset,
+// so no output depends on which Sim ran before. Sweeps over
 // transport, anticipation, custody budget and load run through
 // sweep.ChunkSpec, which adds deterministic seed-driven start jitter on
 // top.

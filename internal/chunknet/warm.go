@@ -25,6 +25,7 @@ type warmBufs struct {
 	pkts   []*packet // the packet free list, every entry zeroed
 	stores []*cache.Custody
 	pktqs  [][]*packet // empty, cleared pktq arrays
+	pipes  [][]*packet // empty, cleared pipe arrays
 	rngs   []*rand.Rand
 }
 
@@ -75,18 +76,23 @@ func (s *Sim) release() {
 			continue
 		}
 		w.stores = append(w.stores, a.store)
+		// The queued and in-flight packets die with the run; clear them
+		// so the pooled arrays do not keep them alive.
 		if cap(a.pktq) > 0 {
-			// The queued packets die with the run; clear them so the
-			// pooled array does not keep them alive.
 			clear(a.pktq[:cap(a.pktq)])
 			w.pktqs = append(w.pktqs, a.pktq[:0])
+		}
+		if cap(a.pipe) > 0 {
+			clear(a.pipe[:cap(a.pipe)])
+			w.pipes = append(w.pipes, a.pipe[:0])
 		}
 		for _, r := range [...]*rand.Rand{a.churnRng, a.lossRng} {
 			if r != nil {
 				w.rngs = append(w.rngs, r)
 			}
 		}
-		a.store, a.pktq, a.churnRng, a.lossRng = nil, nil, nil, nil
+		a.store, a.pktq, a.pipe, a.pipeHead = nil, nil, nil, 0
+		a.churnRng, a.lossRng = nil, nil
 	}
 	for _, grp := range s.srlgs {
 		if grp.rng != nil {

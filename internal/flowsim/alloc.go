@@ -116,6 +116,11 @@ func (r *runner) allocateINRP() []float64 {
 			round = r.cfg.PoolingRounds - 2
 			continue
 		}
+		if round == r.cfg.PoolingRounds-2 {
+			// The round cap cuts the fixpoint off with the grants still
+			// moving.
+			r.mPoolCreep.Inc()
+		}
 		classRate = r.poolFill()
 	}
 
@@ -179,8 +184,9 @@ func (r *runner) poolFill() []float64 {
 	r.mPoolRounds.Inc()
 	capacity := r.capBase
 	if len(r.grantRecs) > 0 {
-		for a, c := range r.capBase {
-			r.capEff[a] = c + r.grantsFor[a]
+		// classFill reads capacities on live arcs only.
+		for _, a := range r.liveArcs {
+			r.capEff[a] = r.capBase[a] + r.grantsFor[a]
 		}
 		capacity = r.capEff
 	}
@@ -188,9 +194,12 @@ func (r *runner) poolFill() []float64 {
 
 	// Per-arc primary load. Accumulated flow-by-flow in admission order —
 	// not class×weight products — so the float summation order matches
-	// the per-flow reference bit for bit.
+	// the per-flow reference bit for bit. Only live arcs can carry load;
+	// every other arc already reads zero (addArcWeight).
 	primaryLoad := r.primaryLoad
-	zero(primaryLoad)
+	for _, a := range r.liveArcs {
+		primaryLoad[a] = 0
+	}
 	for _, s := range r.activeOrder {
 		c := r.slotClass[s]
 		cr := classRate[c]
@@ -202,14 +211,14 @@ func (r *runner) poolFill() []float64 {
 }
 
 // buildScanArcs sets the arcs a round's candidate scan and the no-grant
-// feasibility scan must visit: the arcs carrying live classes (recorded
-// by classFill) and, ascending and without duplicates, the static list
-// of arcs that count as saturated even when idle. Every other arc has
+// feasibility scan must visit: the arcs carrying live classes (liveArcs)
+// and, ascending and without duplicates, the static list of arcs that
+// count as saturated even when idle. Every other arc has
 // zero primary load and positive slack, so it can be neither a candidate
 // nor overloaded while no detour traffic lands on it. The loaded set is
 // fixed for one allocation, so this runs once per allocateINRP call.
 func (r *runner) buildScanArcs() {
-	scan := append(r.scanArcs[:0], r.loadedArcs...)
+	scan := append(r.scanArcs[:0], r.liveArcs...)
 	if len(r.lowCapArcs) > 0 {
 		scan = append(scan, r.lowCapArcs...)
 		slices.Sort(scan)

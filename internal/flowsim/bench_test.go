@@ -75,6 +75,26 @@ func BenchmarkFillClasses(b *testing.B) {
 	}
 }
 
+// BenchmarkFillClassesSparse measures the fill where most of the
+// topology is idle: a handful of live classes on Level 3, the built-in
+// ISP with the most arcs (1,092). The fill is seeded from the live arcs
+// only, so its cost follows the load, not the arc count.
+func BenchmarkFillClassesSparse(b *testing.B) {
+	g := topo.MustBuildISP(topo.Level3)
+	r := &runner{cfg: Config{Graph: g, Policy: SP}, g: g}
+	r.init()
+	for _, f := range benchFlows(g, 6) {
+		if err := r.admit(f, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.classFill(r.capBase)
+	}
+}
+
 func BenchmarkRunSP(b *testing.B) {
 	g := topo.MustBuildISP(topo.Exodus)
 	g.SetAllCapacities(450 * units.Mbps)

@@ -1,6 +1,9 @@
 package flowsim
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Flow classes collapse the allocator's working set from flows to
 // distinct constraint sets. Max-min fair allocation depends only on a
@@ -19,6 +22,14 @@ import "math"
 // stable, empty classes cost one skipped iteration — and all per-class
 // scratch lives on the runner, reused across allocate() calls, so the
 // steady-state allocator performs no heap allocation at all.
+//
+// The per-arc side is incremental too. arcWeight[a] is the sum of the
+// live class weights over the classes crossing arc a, and liveArcs lists,
+// ascending, exactly the arcs with arcWeight > 0; admit and finishSlot
+// update both on the class's own arcs (addArcWeight). A fill seeds its
+// working weights, loads and tolerances from liveArcs alone, so one
+// allocation costs O(loaded arcs + live classes), whatever the size of
+// the topology. Arcs outside liveArcs also read zero in primaryLoad.
 
 // flowClass is one bucket of active flows sharing a primary path and
 // demand cap.
@@ -74,6 +85,27 @@ func (r *runner) classFor(arcs []int32, hops float64) int32 {
 	return idx
 }
 
+// addArcWeight adds d (+1 on admit, −1 on finish) to arcWeight on every
+// arc of the class and keeps liveArcs in step: an arc whose weight turns
+// positive is inserted in order, one whose weight returns to zero is
+// deleted, and its primaryLoad is zeroed, since a round's loads are
+// rewritten only on live arcs (poolFill) but read on any donor arc.
+func (r *runner) addArcWeight(cl *flowClass, d int) {
+	for _, a := range cl.arcs {
+		old := r.arcWeight[a]
+		r.arcWeight[a] = old + d
+		switch {
+		case old == 0:
+			i, _ := slices.BinarySearch(r.liveArcs, a)
+			r.liveArcs = slices.Insert(r.liveArcs, i, a)
+		case old+d == 0:
+			i, _ := slices.BinarySearch(r.liveArcs, a)
+			r.liveArcs = slices.Delete(r.liveArcs, i, i+1)
+			r.primaryLoad[a] = 0
+		}
+	}
+}
+
 // growClassScratch resizes the class-indexed scratch buffers to the
 // current class count.
 func (r *runner) growClassScratch() {
@@ -123,38 +155,26 @@ func (r *runner) classFill(capacity []float64) []float64 {
 	// list's order is arbitrary, which is sound here: per-arc weights are
 	// integer sums and freezes are per-class, so no float chain depends
 	// on class enumeration order.
-	remaining := 0
-	for i := range load {
-		load[i] = 0
-		weight[i] = 0
-	}
+	remaining := len(r.liveClasses)
 	for _, c := range r.liveClasses {
-		cl := &r.classes[c]
 		rates[c] = 0
 		frozen[c] = false
-		remaining++
-		for _, a := range cl.arcs {
-			weight[a] += cl.weight
-		}
 	}
 
 	// Active-arc index: only arcs carrying unfrozen weight participate in
 	// the event loops, in ascending order (matching the reference's full
-	// 0..nArcs scans, which skip zero-count arcs). Arcs only ever leave
-	// the set during a fill; the list compacts in place, preserving
-	// order. The saturation slack depends only on the fill's capacities,
-	// so it is computed once per arc here instead of once per event.
-	active := r.activeArcs[:0]
+	// 0..nArcs scans, which skip zero-count arcs). It starts as liveArcs,
+	// whose weights arcWeight already holds; no other arc is read or
+	// written below. Arcs only ever leave the set during a fill; the list
+	// compacts in place, preserving order. The saturation slack depends
+	// only on the fill's capacities, so it is computed once per arc here
+	// instead of once per event.
+	active := append(r.activeArcs[:0], r.liveArcs...)
 	satSlack := r.satSlack
-	for a := 0; a < r.nArcs; a++ {
-		if weight[a] > 0 {
-			active = append(active, int32(a))
-			satSlack[a] = saturationEps(capacity[a])
-		}
-	}
-	if r.cfg.Policy == INRP {
-		// The pooling rounds scan only loaded arcs (allocateINRP).
-		r.loadedArcs = append(r.loadedArcs[:0], active...)
+	for _, a := range active {
+		load[a] = 0
+		weight[a] = r.arcWeight[a]
+		satSlack[a] = saturationEps(capacity[a])
 	}
 
 	level := 0.0

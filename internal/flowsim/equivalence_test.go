@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -715,5 +716,105 @@ func TestSameGrantsBitExact(t *testing.T) {
 	}
 	if r.sameGrants(true) {
 		t.Error("grants dropped to none treated as converged")
+	}
+}
+
+// checkArcIndex recounts the per-arc weights from scratch — one unit per
+// live flow on every arc of its class — and requires the incrementally
+// kept arcWeight and liveArcs to equal the recount, and primaryLoad to
+// read zero on every arc outside liveArcs.
+func checkArcIndex(t *testing.T, trial int, r *runner, live []int32, after string) {
+	t.Helper()
+	want := make([]int, r.nArcs)
+	for _, s := range live {
+		for _, a := range r.classes[r.slotClass[s]].arcs {
+			want[a]++
+		}
+	}
+	var wantLive []int32
+	for a, w := range want {
+		if w > 0 {
+			wantLive = append(wantLive, int32(a))
+		}
+	}
+	if !slices.Equal(r.arcWeight, want) {
+		t.Fatalf("trial %d, after %s: arcWeight %v, recount %v", trial, after, r.arcWeight, want)
+	}
+	if !slices.Equal(r.liveArcs, wantLive) {
+		t.Fatalf("trial %d, after %s: liveArcs %v, recount %v", trial, after, r.liveArcs, wantLive)
+	}
+	for a, l := range r.primaryLoad {
+		if want[a] == 0 && l != 0 {
+			t.Fatalf("trial %d, after %s: idle arc %d has primaryLoad %v", trial, after, a, l)
+		}
+	}
+}
+
+// TestArcIndexMatchesRecount is the property test of the live-arc index
+// the fill is seeded from: under SP, ECMP and INRP, elastic and
+// demand-capped, arcWeight and liveArcs must equal a from-scratch
+// recount after every admit and every finishSlot — when a driver
+// finishes arbitrary flows between allocations, and when the event loop
+// finishes them off its completion heap.
+func TestArcIndexMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	trials := 45
+	if testing.Short() {
+		trials = 12
+	}
+	for trial := 0; trial < trials; trial++ {
+		g := randomGraph(rng)
+		pol := []Policy{SP, ECMP, INRP}[trial%3]
+		var cap units.BitRate
+		if rng.Intn(2) == 0 {
+			cap = units.BitRate(20+rng.Intn(100)) * units.Mbps
+		}
+		flows := workload.Generate(workload.Spec{
+			Arrivals: workload.NewPoisson(20, rng.Int63()),
+			Sizes:    workload.NewBoundedPareto(1.5, units.MB, 100*units.MB, rng.Int63()),
+			Matrix:   workload.NewGravity(g, rng.Int63()),
+			Count:    10 + rng.Intn(40),
+		})
+
+		r := newTestRunner(t, g, pol, cap)
+		var live []int32
+		next := 0
+		for next < len(flows) || len(live) > 0 {
+			for b := 1 + rng.Intn(4); b > 0 && next < len(flows); b-- {
+				f := flows[next]
+				next++
+				if err := r.admit(f, f.Arrival.Seconds()); err != nil {
+					continue // unreachable endpoint in a random graph
+				}
+				live = append(live, r.activeOrder[len(r.activeOrder)-1])
+				checkArcIndex(t, trial, r, live, "admit")
+			}
+			r.allocate()
+			checkArcIndex(t, trial, r, live, "allocate")
+			// Finish an arbitrary subset, everything once arrivals run out.
+			for i := 0; i < len(live); {
+				s := live[i]
+				if next < len(flows) && rng.Intn(3) != 0 {
+					i++
+					continue
+				}
+				r.finishSlot(s, r.slotArrival[s]+1)
+				live = slices.Delete(live, i, i+1)
+				checkArcIndex(t, trial, r, live, "finishSlot")
+			}
+			r.activeOrder = append(r.activeOrder[:0], live...)
+		}
+
+		// The event loop's own admits and finishes, checked where it
+		// stops: at the horizon some flows are still live.
+		cfg := r.cfg
+		cfg.Flows = flows
+		cfg.Horizon = time.Duration(1+rng.Intn(3000)) * time.Millisecond
+		rr := &runner{cfg: cfg, g: g}
+		rr.init()
+		if _, err := rr.run(); err != nil {
+			continue
+		}
+		checkArcIndex(t, trial, rr, rr.activeOrder, "run")
 	}
 }

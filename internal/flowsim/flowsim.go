@@ -60,7 +60,7 @@ func (p Policy) String() string {
 type Config struct {
 	Graph  *topo.Graph
 	Policy Policy
-	Flows  []workload.Flow // must be sorted by arrival time
+	Flows  []workload.Flow // sorted by arrival time; see Run
 
 	// Horizon stops the simulation at this virtual time; 0 runs until all
 	// flows complete.
@@ -141,10 +141,16 @@ const arrivalSlack = 1e-12
 // to or below this sub-millibit threshold is done.
 const finishEps = 1e-3
 
-// Run executes the simulation described by cfg.
+// Run executes the simulation described by cfg. A flow with an endpoint
+// outside the graph, equal endpoints, a size ≤ 0, a negative arrival or
+// an arrival before its predecessor's fails the run with an error naming
+// the flow.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("flowsim: nil graph")
+	}
+	if err := checkFlows(cfg.Graph, cfg.Flows); err != nil {
+		return nil, err
 	}
 	if cfg.PoolingRounds <= 0 {
 		cfg.PoolingRounds = 4
@@ -155,6 +161,30 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{cfg: cfg, g: cfg.Graph}
 	r.init()
 	return r.run()
+}
+
+// checkFlows rejects a flow the event loop cannot run: an endpoint
+// outside the graph, a flow from a node to itself or with no bytes to
+// send (neither ever completes), or an arrival before time 0 or earlier
+// than the flow before it (it would be admitted late).
+func checkFlows(g *topo.Graph, flows []workload.Flow) error {
+	n := topo.NodeID(g.NumNodes())
+	for i, f := range flows {
+		switch {
+		case f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n:
+			return fmt.Errorf("flowsim: flow %d: endpoints %d→%d outside the %d-node graph", f.ID, f.Src, f.Dst, n)
+		case f.Src == f.Dst:
+			return fmt.Errorf("flowsim: flow %d: source and destination are both node %d", f.ID, f.Src)
+		case f.Size <= 0:
+			return fmt.Errorf("flowsim: flow %d: size %d bytes, want > 0", f.ID, int64(f.Size))
+		case f.Arrival < 0:
+			return fmt.Errorf("flowsim: flow %d: arrival %v before the run starts at 0", f.ID, f.Arrival)
+		case i > 0 && f.Arrival < flows[i-1].Arrival:
+			return fmt.Errorf("flowsim: flow %d: arrival %v before flow %d's %v; Flows must be sorted by arrival",
+				f.ID, f.Arrival, flows[i-1].ID, flows[i-1].Arrival)
+		}
+	}
+	return nil
 }
 
 // runner holds the mutable simulation state.
@@ -206,6 +236,13 @@ type runner struct {
 	liveClasses []int32
 	classPos    []int32 // per class: index in liveClasses, -1 when dead
 
+	// Live-arc index (classes.go): arcWeight[a] sums the live class
+	// weights over the classes crossing arc a, and liveArcs lists the arcs
+	// with arcWeight > 0 in ascending order. admit and finishSlot keep
+	// both current, so a fill never walks the idle arcs of the topology.
+	arcWeight []int
+	liveArcs  []int32
+
 	// classBySrcDst caches class resolution for the deterministic
 	// policies (SP/INRP): key (src<<32|dst) → class index, so repeat
 	// admissions of an endpoint pair skip routing entirely.
@@ -245,8 +282,7 @@ type runner struct {
 	cands        congestedList // saturated-arc candidates of a round
 	grantRecs    []grantRec    // detour grants of the current plan
 	prevGrants   []float64     // per arc: grantsFor a pooling round started from
-	loadedArcs   []int32       // INRP: ascending arcs carrying live classes (classFill)
-	scanArcs     []int32       // INRP: loadedArcs ∪ lowCapArcs, ascending
+	scanArcs     []int32       // INRP: liveArcs ∪ lowCapArcs, ascending
 
 	// Completion-heap state (heap.go): the event loop finds the next
 	// completion by popping a lazily invalidated min-heap of projected
@@ -273,6 +309,7 @@ type runner struct {
 	// nil-safe no-ops costing one nil check).
 	mAllocFills   *obs.Counter
 	mPoolRounds   *obs.Counter
+	mPoolCreep    *obs.Counter
 	mBackpressure *obs.Counter
 	mAdmitted     *obs.Counter
 	mFinished     *obs.Counter
@@ -331,6 +368,7 @@ func (r *runner) init() {
 	r.primaryLoad = make([]float64, r.nArcs)
 	r.fillLoad = make([]float64, r.nArcs)
 	r.fillWeight = make([]int, r.nArcs)
+	r.arcWeight = make([]int, r.nArcs)
 	r.satSlack = make([]float64, r.nArcs)
 	r.residualFn = residualAdapter(func(b topo.Arc) float64 {
 		bi := arcIndex(b)
@@ -344,6 +382,7 @@ func (r *runner) init() {
 	if reg := r.cfg.Obs; reg != nil {
 		r.mAllocFills = reg.Counter("flowsim_alloc_fills")
 		r.mPoolRounds = reg.Counter("flowsim_pool_rounds")
+		r.mPoolCreep = reg.Counter("flowsim_pool_creep")
 		r.mBackpressure = reg.Counter("flowsim_backpressure_events")
 		r.mAdmitted = reg.Counter("flowsim_flows_admitted")
 		r.mFinished = reg.Counter("flowsim_flows_finished")
@@ -443,11 +482,13 @@ func (r *runner) admit(f workload.Flow, now float64) error {
 	if err != nil {
 		return err
 	}
-	r.classes[class].weight++
-	if r.classes[class].weight == 1 {
+	cl := &r.classes[class]
+	cl.weight++
+	if cl.weight == 1 {
 		r.classPos[class] = int32(len(r.liveClasses))
 		r.liveClasses = append(r.liveClasses, class)
 	}
+	r.addArcWeight(cl, 1)
 	s := r.allocSlot()
 	r.slotID[s] = f.ID
 	r.slotClass[s] = class
@@ -620,6 +661,7 @@ func (r *runner) run() (*Result, error) {
 func (r *runner) finishSlot(s int32, now float64) {
 	c := r.slotClass[s]
 	r.classes[c].weight--
+	r.addArcWeight(&r.classes[c], -1)
 	if r.classes[c].weight == 0 {
 		// The class dies: drop it from the live list (swap-remove) and
 		// restore the dead-class invariant the allocator's freeze sweeps

@@ -137,6 +137,9 @@ func TestObsPoolRounds(t *testing.T) {
 	if rounds >= 4*allocs {
 		t.Fatalf("pool_rounds = %d ≥ PoolingRounds × alloc_fills = %d: the fixpoint never exits early", rounds, 4*allocs)
 	}
+	if creep := snap.Counters["flowsim_pool_creep"]; creep != 0 {
+		t.Fatalf("pool_creep = %d on an uncongested run, want 0", creep)
+	}
 }
 
 // TestAllocatorSteadyStateAllocs pins the allocator's zero-allocation
@@ -158,5 +161,39 @@ func TestAllocatorSteadyStateAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { r.allocateClasses() }); n != 0 {
 			t.Errorf("registry %v: %v allocs per allocation, want 0", reg != nil, n)
 		}
+	}
+}
+
+// TestObsPoolCreep checks the round-cap counter of the pooling fixpoint
+// on a congested Exodus run, where elastic flows keep moving the grants:
+// some allocations must use up PoolingRounds without converging, and
+// the counter only observes (TestObsPoolRounds pins it at 0 on an
+// uncongested run).
+func TestObsPoolCreep(t *testing.T) {
+	cfg := Config{
+		Graph:   topo.MustBuildISP(topo.Exodus),
+		Policy:  INRP,
+		Horizon: 2 * time.Second,
+	}
+	cfg.Graph.SetAllCapacities(450 * units.Mbps)
+	cfg.Flows = benchFlows(cfg.Graph, 200)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New("pool-creep")
+	cfg.Obs = reg
+	instrumented, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, instrumented) {
+		t.Fatalf("instrumented result diverged:\nplain:        %+v\ninstrumented: %+v", plain, instrumented)
+	}
+	snap := reg.Snapshot()
+	allocs, creep := snap.Counters["flowsim_alloc_fills"], snap.Counters["flowsim_pool_creep"]
+	t.Logf("alloc_fills %d, pool_rounds %d, pool_creep %d", allocs, snap.Counters["flowsim_pool_rounds"], creep)
+	if creep == 0 || creep > allocs {
+		t.Fatalf("pool_creep = %d with alloc_fills = %d, want 0 < creep ≤ fills", creep, allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -121,5 +122,47 @@ func TestArrivalExactlyAtEventTime(t *testing.T) {
 	}
 	if res.Duration != 200*time.Millisecond {
 		t.Fatalf("Duration=%v, want 200ms", res.Duration)
+	}
+}
+
+// TestRunRejectsMalformedFlows: a flow the event loop cannot run fails
+// Run with an error naming the flow, instead of a panic (an endpoint
+// outside the graph), a flow that never completes (a self-loop or no
+// bytes), or an admission later than its arrival (a negative arrival or
+// unsorted arrivals).
+func TestRunRejectsMalformedFlows(t *testing.T) {
+	ok := workload.Flow{ID: 1, Src: 0, Dst: 4, Size: units.MB, Arrival: time.Second}
+	for _, tc := range []struct {
+		name string
+		bad  workload.Flow
+		want string
+	}{
+		{"endpoint outside graph", workload.Flow{ID: 7, Src: 0, Dst: 99, Size: units.MB, Arrival: time.Second}, "outside the 5-node graph"},
+		{"negative endpoint", workload.Flow{ID: 7, Src: -1, Dst: 4, Size: units.MB, Arrival: time.Second}, "outside the 5-node graph"},
+		{"src equals dst", workload.Flow{ID: 7, Src: 2, Dst: 2, Size: units.MB, Arrival: time.Second}, "both node 2"},
+		{"zero size", workload.Flow{ID: 7, Src: 0, Dst: 4, Arrival: time.Second}, "size 0 bytes"},
+		{"negative size", workload.Flow{ID: 7, Src: 0, Dst: 4, Size: -units.MB, Arrival: time.Second}, "size -1000000 bytes"},
+		{"negative arrival", workload.Flow{ID: 7, Src: 0, Dst: 4, Size: units.MB, Arrival: -time.Second}, "before the run starts"},
+		{"arrival out of order", workload.Flow{ID: 7, Src: 0, Dst: 4, Size: units.MB, Arrival: 500 * time.Millisecond}, "before flow 1's"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Graph: topo.Fig3(), Policy: INRP, Flows: []workload.Flow{ok, tc.bad}}
+			var res *Result
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Run panicked: %v", p)
+					}
+				}()
+				res, err = Run(cfg)
+			}()
+			if err == nil {
+				t.Fatalf("Run accepted the flow: Completed %d of Total %d", res.Completed, res.Total)
+			}
+			if !strings.Contains(err.Error(), "flow 7:") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name flow 7 and %q", err, tc.want)
+			}
+		})
 	}
 }

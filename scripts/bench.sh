@@ -49,7 +49,7 @@ run_pkg() {
 
 echo "bench: running suite (benchtime $BENCHTIME)..." >&2
 run_pkg . 'BenchmarkFig4Scaled|BenchmarkFig4Huge|BenchmarkChunknetFanIn|BenchmarkChunknetDetour|BenchmarkChunknetLossy'
-run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkRunSP|BenchmarkRunINRP'
+run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkFillClassesSparse|BenchmarkRunSP|BenchmarkRunINRP'
 run_pkg ./internal/des 'BenchmarkScheduleAndRun|BenchmarkNestedCascade|BenchmarkCancelRearm'
 run_pkg ./internal/route 'BenchmarkDijkstraLevel3|BenchmarkSubpaths|BenchmarkECMPBuild'
 run_pkg ./internal/cache 'BenchmarkCustodyOfferPop'
