@@ -84,7 +84,8 @@ type arcState struct {
 	// enter the propagation pipe and arrive in FIFO order after the arc's
 	// fixed delay. Only the head packet's arrival sits in the DES queue;
 	// the others wait under their reserved keys. Both callbacks are bound
-	// once at construction, so transmitting allocates nothing.
+	// once, when the arc state is first made (see bind), so transmitting
+	// allocates nothing.
 	txPkt    *packet
 	pipe     []*packet
 	pipeHead int
@@ -111,8 +112,9 @@ type arcState struct {
 	// accounting; wasHard records whether any hard cause was active since
 	// downSince (that is what makes surviving store contents "requeued").
 	// churnRng is the arc's private seeded stream for its own process;
-	// churnDown that process's phase; churnFn the transition callback
-	// bound once at startChurn. txDoomed and pipeDoomed mark in-flight
+	// churnDown that process's phase; churnFn the transition callback,
+	// bound by the first startChurn that needs it and kept with the arc
+	// state, like the two above. txDoomed and pipeDoomed mark in-flight
 	// packets caught on the wire by a hard failure: their scheduled
 	// completion/arrival events still fire, but dispose of the packet
 	// instead of advancing it.
@@ -150,6 +152,13 @@ type arcState struct {
 	cDownTransitions *obs.Counter
 	hDownSeconds     *obs.Histogram
 	cPktsLostRandom  *obs.Counter
+}
+
+// bind binds the arc's transmission callbacks to it. A warm Sim reuses
+// arc states (warm.go), so they are bound once per arc state, not per
+// run.
+func (a *arcState) bind() {
+	a.txDoneFn, a.arriveFn = a.txDone, a.deliverHead
 }
 
 // newPacket takes a packet from the pool (all fields zero, rest empty

@@ -316,23 +316,16 @@ func New(cfg Config) (*Sim, error) {
 			if cfg.Transport == INRPP {
 				storeCap += cfg.CustodyBytes
 			}
-			a := &arcState{
-				sim:      s,
-				arc:      topo.Arc{Link: lid, Dir: dir},
-				from:     n.ID,
-				to:       l.Other(n.ID),
-				baseRate: l.Capacity,
-				capRate:  l.Capacity,
-				delay:    l.Delay,
-				outage:   l.Outage,
-				calendar: l.Calendar,
-				lossProb: l.LossProb,
-				store:    w.store(storeCap),
-				pktq:     pop(&w.pktqs),
-				pipe:     pop(&w.pipes),
-			}
-			a.txDoneFn = a.txDone
-			a.arriveFn = a.deliverHead
+			a := w.arc()
+			a.sim = s
+			a.arc = topo.Arc{Link: lid, Dir: dir}
+			a.from, a.to = n.ID, l.Other(n.ID)
+			a.baseRate, a.capRate = l.Capacity, l.Capacity
+			a.delay = l.Delay
+			a.outage, a.calendar = l.Outage, l.Calendar
+			a.lossProb = l.LossProb
+			a.store = w.store(storeCap)
+			a.pktq, a.pipe = pop(&w.pktqs), pop(&w.pipes)
 			s.arcs[idx] = a
 		}
 		if len(ns.arcIdx) > 0 {

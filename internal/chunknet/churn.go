@@ -84,7 +84,9 @@ func (s *Sim) startChurn() {
 		if a.outage.Enabled() {
 			seed := splitmix64(uint64(s.cfg.ChurnSeed)<<16 + uint64(idx))
 			a.churnRng = s.warm.rand(int64(seed))
-			a.churnFn = a.churnTick
+			if a.churnFn == nil {
+				a.churnFn = a.churnTick
+			}
 			s.des.After(sampleChurn(a.churnRng, a.outage, a.outage.Up), a.churnFn)
 		}
 		if a.calendar.Enabled() {

@@ -1,6 +1,8 @@
 package chunknet
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,7 +48,13 @@ func TestPipeBounded(t *testing.T) {
 		// in-flight count and the peak backing array. Run hands the array
 		// on when it returns, so its capacity must be read here, not after.
 		// A warm Sim may start with a larger array left by an earlier run;
-		// only an array this run grew counts against the bound.
+		// only an array this run grew counts against the bound. Run also
+		// hands the arc states on, zeroed, so each arc's ends are noted
+		// here and its own txDone is bound again before a later Sim can
+		// reuse it.
+		arcs := slices.Clone(s.arcs)
+		ends := make([]string, len(s.arcs))
+		bottleneck := -1
 		peak := make([]int, len(s.arcs))
 		peakCap := make([]int, len(s.arcs))
 		sent := make([]int, len(s.arcs))
@@ -56,6 +64,10 @@ func TestPipeBounded(t *testing.T) {
 				continue
 			}
 			i, a := i, a
+			ends[i] = fmt.Sprintf("%d>%d", a.from, a.to)
+			if a.from == hub && a.to == sink {
+				bottleneck = i
+			}
 			peakCap[i] = cap(a.pipe)
 			a.txDoneFn = func() {
 				a.txDone()
@@ -70,26 +82,30 @@ func TestPipeBounded(t *testing.T) {
 			}
 		}
 		rep := s.Run(10 * time.Second)
+		for _, a := range arcs {
+			if a != nil {
+				a.txDoneFn = a.txDone
+			}
+		}
 		if len(rep.Completions) != transfers {
 			t.Fatalf("%v: %d of %d transfers completed", tr, len(rep.Completions), transfers)
 		}
-		bottleneck := 0
-		for i, a := range s.arcs {
+		for i, a := range arcs {
 			if a == nil {
 				continue
 			}
 			if c := peakCap[i]; grown[i] && c > 4*peak[i]+256 {
-				t.Errorf("%v arc %d>%d: peak cap(pipe) = %d over %d packets, peak in flight %d",
-					tr, a.from, a.to, c, sent[i], peak[i])
-			}
-			if a.from == hub && a.to == sink {
-				bottleneck = sent[i]
+				t.Errorf("%v arc %s: peak cap(pipe) = %d over %d packets, peak in flight %d",
+					tr, ends[i], c, sent[i], peak[i])
 			}
 		}
 		// The check only means something if the bottleneck carried far
 		// more packets than the bound allows slots.
-		if bottleneck < transfers*chunks {
-			t.Fatalf("%v: bottleneck sent %d packets, want at least %d", tr, bottleneck, transfers*chunks)
+		if bottleneck < 0 {
+			t.Fatalf("%v: no %d>%d arc", tr, hub, sink)
+		}
+		if n := sent[bottleneck]; n < transfers*chunks {
+			t.Fatalf("%v: bottleneck sent %d packets, want at least %d", tr, n, transfers*chunks)
 		}
 	}
 }

@@ -27,6 +27,7 @@ type warmBufs struct {
 	pktqs  [][]*packet // empty, cleared pktq arrays
 	pipes  [][]*packet // empty, cleared pipe arrays
 	rngs   []*rand.Rand
+	arcs   []*arcState // zeroed but for the callbacks bound to each
 }
 
 var warmPool = sync.Pool{New: func() any { return &warmBufs{des: des.New()} }}
@@ -52,6 +53,16 @@ func (w *warmBufs) store(capacity units.ByteSize) *cache.Custody {
 	return c
 }
 
+// arc returns a zeroed arc state with its callbacks bound to it.
+func (w *warmBufs) arc() *arcState {
+	a := pop(&w.arcs)
+	if a == nil {
+		a = &arcState{}
+		a.bind()
+	}
+	return a
+}
+
 // rand returns a stream seeded with seed.
 func (w *warmBufs) rand(seed int64) *rand.Rand {
 	r := pop(&w.rngs)
@@ -63,8 +74,8 @@ func (w *warmBufs) rand(seed int64) *rand.Rand {
 }
 
 // release hands the finished Sim's buffers to warmPool. The Sim is
-// unusable afterwards: its DES, stores and streams are gone, so a stray
-// call panics instead of touching another run.
+// unusable afterwards: its DES, arcs, stores and streams are gone, so a
+// stray call panics instead of touching another run.
 func (s *Sim) release() {
 	w := s.warm
 	s.warm = nil
@@ -91,9 +102,12 @@ func (s *Sim) release() {
 				w.rngs = append(w.rngs, r)
 			}
 		}
-		a.store, a.pktq, a.pipe, a.pipeHead = nil, nil, nil, 0
-		a.churnRng, a.lossRng = nil, nil
+		// Zero the rest, so the pooled arc keeps nothing of this run
+		// alive, but keep the callbacks: they are bound to a itself.
+		*a = arcState{txDoneFn: a.txDoneFn, arriveFn: a.arriveFn, churnFn: a.churnFn}
+		w.arcs = append(w.arcs, a)
 	}
+	s.arcs = nil
 	for _, grp := range s.srlgs {
 		if grp.rng != nil {
 			w.rngs = append(w.rngs, grp.rng)

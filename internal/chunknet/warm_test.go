@@ -3,6 +3,7 @@ package chunknet
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -65,15 +66,17 @@ func mustSim(cfg Config, trs ...Transfer) *Sim {
 }
 
 // warmRounds runs heavy then small n times on the calling goroutine,
-// stopping at the first small report that differs from want. It returns
-// how many small Sims took over the heavy Sim's buffers: a sync.Pool may
-// drop an item (a quarter of them under -race) or hand it to another P,
-// so a round can also run cold.
+// stopping at the first small report that differs from want or the
+// first warm small Sim that built an arc afresh instead of reusing one
+// of the heavy Sim's. It returns how many small Sims took over the heavy
+// Sim's buffers: a sync.Pool may drop an item (a quarter of them under
+// -race) or hand it to another P, so a round can also run cold.
 func warmRounds(t *testing.T, want *Report, n int) int {
 	warm := 0
 	for i := 0; i < n; i++ {
 		heavy := warmHeavy()
 		bufs := heavy.warm
+		heavyArcs := slices.Clone(heavy.arcs)
 		rep := heavy.Run(2 * time.Second)
 		if rep.PktsLostRandom == 0 || rep.ArcDownTransitions == 0 || rep.SRLGDownTransitions == 0 ||
 			rep.DetourFailovers == 0 || rep.ChunksDetoured == 0 {
@@ -83,6 +86,14 @@ func warmRounds(t *testing.T, want *Report, n int) int {
 		small := warmSmall()
 		if small.warm == bufs {
 			warm++
+			// The small run's arcs are the heavy run's arc states,
+			// zeroed and filled again.
+			for _, a := range small.arcs {
+				if a != nil && !slices.Contains(heavyArcs, a) {
+					t.Errorf("round %d: arc %d>%d was made afresh on warm buffers", i, a.from, a.to)
+					return warm
+				}
+			}
 		}
 		if got := small.Run(3 * time.Second); !reflect.DeepEqual(got, want) {
 			t.Errorf("round %d: small run after a heavy one diverged:\ncold: %+v\nwarm: %+v", i, want, got)
@@ -130,16 +141,27 @@ func TestWarmRunMatchesFreshConcurrent(t *testing.T) {
 }
 
 // TestReleasedSimUnusable: Run hands the buffers on and leaves the Sim
-// without them, so nothing it still holds can reach another run.
+// without them, so nothing it still holds can reach another run. The
+// arc states it hands on are zeroed but for their bound callbacks, so
+// they keep nothing of the run alive either.
 func TestReleasedSimUnusable(t *testing.T) {
 	s := warmSmall()
+	arcs := slices.Clone(s.arcs)
 	s.Run(time.Second)
-	if s.des != nil || s.warm != nil || s.pktFree != nil {
-		t.Fatal("a finished Sim still holds its DES, pool set or packet list")
+	if s.des != nil || s.warm != nil || s.pktFree != nil || s.arcs != nil {
+		t.Fatal("a finished Sim still holds its DES, pool set, packet list or arcs")
 	}
-	for _, a := range s.arcs {
-		if a != nil && (a.store != nil || a.pktq != nil || a.churnRng != nil || a.lossRng != nil) {
-			t.Fatalf("arc %d>%d still holds a handed-on buffer", a.from, a.to)
+	for i, a := range arcs {
+		if a == nil {
+			continue
+		}
+		if a.txDoneFn == nil || a.arriveFn == nil {
+			t.Fatalf("handed-on arc %d lost a bound callback", i)
+		}
+		rest := *a
+		rest.txDoneFn, rest.arriveFn, rest.churnFn = nil, nil, nil
+		if !reflect.ValueOf(rest).IsZero() {
+			t.Fatalf("handed-on arc %d still holds state of its run: %+v", i, rest)
 		}
 	}
 }

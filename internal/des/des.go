@@ -7,49 +7,79 @@
 // the same sequence, which is what lets the queue's layout change
 // without changing a single output byte.
 //
-// The queue is a 4-ary min-heap of pointer-free value slots {at, seq,
-// id}; id indexes an arena holding each event's callback and generation.
-// Slots are recycled through a free list, so steady-state scheduling
-// performs no heap allocation, and heap moves copy plain words (no GC
-// write barriers). Timers stay safe across reuse via the generation
-// counter: cancelling a timer whose slot has already fired and been
-// reused is a no-op, never a clobber of the new tenant.
+// The queue is a monotone radix queue on event time. It relies on the
+// kernel never scheduling before its clock: every queued time is at or
+// after the queue's base, the time of the last slot taken out. Bucket i
+// holds the slots whose time first differs from the base at bit i, so
+// filing a slot is one bit-length and one list push, whatever the queue
+// length. The slots at the base itself wait in the ready list in seq
+// order. When that list runs dry, the lowest non-empty bucket is
+// emptied: its earliest time becomes the base, its slots at that time
+// become ready and the rest fall into lower buckets. Every move puts a
+// slot in a strictly lower bucket, so it moves a few times at most, and
+// firing an event never sifts through the other pending ones.
 //
-// Cancel only marks its slot dead. Dead slots are dropped when they
-// reach the top of the heap, or all at once when they outnumber the live
-// ones (and a small floor): the heap is then filtered and re-heapified
-// in O(n), so a cancel-and-re-arm timer pattern keeps the heap at about
+// Slots live in an arena of cells {callback, key, generation, next};
+// the buckets are singly linked lists threaded through the arena's next
+// field, so the queue itself is 64 list heads and a bitmask of the
+// non-empty ones. Slots are recycled through a free list, so
+// steady-state scheduling performs no heap allocation. Timers stay safe
+// across reuse via the generation counter: cancelling a timer whose slot
+// has already fired and been reused is a no-op, never a clobber of the
+// new tenant.
+//
+// Cancel only marks its slot dead. Dead slots are dropped when they are
+// taken out or moved between buckets, or all at once when they outnumber
+// the live ones (and a small floor): the lists are then filtered in
+// O(n), so a cancel-and-re-arm timer pattern keeps the queue at about
 // twice the live event count instead of one entry per cancel.
 //
 // Reserve and AtKey split scheduling in two: Reserve fixes an event's key
-// now, AtKey puts a callback into the heap under it later. A FIFO
+// now, AtKey puts a callback into the queue under it later. A FIFO
 // producer (a propagation pipe) reserves a key per item but keeps only
-// its head in the heap, and still fires each item exactly where At would
-// have put it.
+// its head in the queue, and still fires each item exactly where At
+// would have put it.
 package des
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // compactFloor is the number of dead slots below which Cancel never
-// compacts: small heaps simply drop their dead slots as they surface.
+// compacts: small queues simply drop their dead slots as they surface.
 const compactFloor = 32
 
 // Simulator owns the virtual clock and the pending-event queue. The zero
 // value is ready to use.
 type Simulator struct {
-	now  time.Duration
-	heap []slot
-	// fns and gens are the slot arena, indexed by slot id: the callback
-	// (nil once fired, cancelled or free) and the tenancy generation.
-	fns  []func()
-	gens []uint32
-	free []int32
-	dead int // cancelled slots still in heap
-	seq  uint64
+	now time.Duration
+	// cells is the slot arena, indexed by slot id.
+	cells []cell
+	free  []int32
+
+	// The radix queue. last is its base: every queued time is at or
+	// after it, and between calls it is never past the clock.
+	// ready[readyHead:] are the slots at last in seq order. When bit i of
+	// full is set, heads[i] starts bucket i's list and mins[i] is the
+	// earliest time filed there since it was last empty, a lower bound on
+	// its times (a cancelled slot's time may linger there after
+	// compaction, which only costs a refill that finds nothing ready).
+	last      time.Duration
+	ready     []int32
+	readyHead int
+	heads     [64]int32
+	mins      [64]time.Duration
+	full      uint64
+	queued    int // slots in the queue, dead ones included
+	dead      int // cancelled slots still queued
+
+	seq uint64
 	// floor is the smallest key that may still be scheduled: just past
 	// the event being fired, or at the clock after RunUntil advanced it.
 	floor Key
@@ -57,12 +87,22 @@ type Simulator struct {
 
 	// Observability instruments (nil when not instrumented; every update
 	// below is a nil-safe no-op then). Counters are updated on the
-	// scheduling paths; the heap-depth gauge tracks the raw heap length,
-	// cancelled slots included, since that is what bounds memory.
+	// scheduling paths; the queue-depth gauge tracks the queued slot
+	// count, cancelled slots included, since that is what bounds memory.
 	mScheduled *obs.Counter
 	mFired     *obs.Counter
 	mPooled    *obs.Counter
 	mHeapDepth *obs.Gauge
+}
+
+// cell is one arena slot: the event's callback (nil once fired,
+// cancelled or free), its key, its tenancy generation and the next slot
+// in its bucket (-1 ends the list).
+type cell struct {
+	fn func()
+	Key
+	gen  uint32
+	next int32
 }
 
 // New returns a simulator with the clock at zero.
@@ -75,13 +115,13 @@ func New() *Simulator { return &Simulator{} }
 // Slot ids are handed out again from zero upward, as in a new simulator;
 // ids never order events, so reuse changes no firing order.
 func (s *Simulator) Reset() {
-	clear(s.fns)
 	free := s.free[:0]
-	for id := len(s.fns) - 1; id >= 0; id-- {
-		s.gens[id]++
+	for id := len(s.cells) - 1; id >= 0; id-- {
+		s.cells[id].fn = nil
+		s.cells[id].gen++
 		free = append(free, int32(id))
 	}
-	*s = Simulator{heap: s.heap[:0], fns: s.fns, gens: s.gens, free: free}
+	*s = Simulator{cells: s.cells, free: free, ready: s.ready[:0]}
 }
 
 // Instrument binds the simulator's kernel metrics to reg:
@@ -90,9 +130,11 @@ func (s *Simulator) Reset() {
 //     (Reserve counts, the AtKey that later uses the key does not);
 //   - des_events_fired counts callbacks run;
 //   - des_events_pooled counts slots returned to the free list: a fired
-//     slot just before its callback runs, a cancelled one when it reaches
-//     the top of the heap or when compaction filters it out;
-//   - gauge des_heap_depth is the heap length, dead slots included.
+//     slot just before its callback runs, a cancelled one when it is
+//     taken out, when its bucket is emptied or when compaction filters
+//     it out;
+//   - gauge des_heap_depth is the number of queued slots, dead slots
+//     included (the name predates the radix queue).
 //
 // A nil registry leaves the simulator uninstrumented (the default): the
 // hot paths then pay one nil check per update and allocate nothing.
@@ -131,12 +173,16 @@ type Timer struct {
 // safe even after the underlying slot has been reused).
 func (t Timer) Cancel() {
 	s := t.sim
-	if s == nil || s.gens[t.id] != t.gen || s.fns[t.id] == nil {
+	if s == nil {
 		return
 	}
-	s.fns[t.id] = nil
+	c := &s.cells[t.id]
+	if c.gen != t.gen || c.fn == nil {
+		return
+	}
+	c.fn = nil
 	s.dead++
-	if s.dead > compactFloor && 2*s.dead > len(s.heap) {
+	if s.dead > compactFloor && 2*s.dead > s.queued {
 		s.compact()
 	}
 }
@@ -183,53 +229,79 @@ func (s *Simulator) reserve(t time.Duration) Key {
 }
 
 // schedule takes a slot from the free list (or grows the arena) and
-// pushes it under k.
+// queues it under k.
 func (s *Simulator) schedule(k Key, fn func()) Timer {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		id = int32(len(s.fns))
-		s.fns = append(s.fns, nil)
-		s.gens = append(s.gens, 0)
+		id = int32(len(s.cells))
+		s.cells = append(s.cells, cell{})
 	}
-	s.fns[id] = fn
-	s.push(slot{Key: k, id: id})
-	s.mHeapDepth.Set(int64(len(s.heap)))
-	return Timer{sim: s, id: id, gen: s.gens[id]}
+	c := &s.cells[id]
+	c.fn = fn
+	c.Key = k
+	s.enqueue(id)
+	s.queued++
+	s.mHeapDepth.Set(int64(s.queued))
+	return Timer{sim: s, id: id, gen: c.gen}
 }
 
 // recycle returns a slot to the free list, bumping its generation so
 // stale Timers can no longer touch it.
 func (s *Simulator) recycle(id int32) {
-	s.fns[id] = nil
-	s.gens[id]++
+	c := &s.cells[id]
+	c.fn = nil
+	c.gen++
 	s.free = append(s.free, id)
 	s.mPooled.Inc()
+}
+
+// drop takes a dead slot out of the queue's count and recycles it.
+func (s *Simulator) drop(id int32) {
+	s.recycle(id)
+	s.dead--
+	s.queued--
+	s.mHeapDepth.Set(int64(s.queued))
 }
 
 // Step fires the next pending event, advancing the clock to it. It reports
 // whether an event was fired.
 func (s *Simulator) Step() bool {
-	for len(s.heap) > 0 {
-		top := s.pop()
-		fn := s.fns[top.id]
-		// Recycle before firing: the callback frequently schedules a
-		// follow-up event, which can then reuse this slot immediately.
-		s.recycle(top.id)
-		s.mHeapDepth.Set(int64(len(s.heap)))
-		if fn == nil {
-			s.dead-- // cancelled
+	for {
+		var id int32
+		if s.readyHead < len(s.ready) {
+			id = s.take()
+		} else if b := bits.TrailingZeros64(s.full); s.full != 0 && s.cells[s.heads[b]].next < 0 {
+			// A lone slot in the lowest bucket is the earliest: take it
+			// without passing it through the ready list.
+			id = s.heads[b]
+			s.full &^= 1 << b
+			s.last = s.cells[id].at
+		} else {
+			if _, ok := s.settle(math.MaxInt64); !ok {
+				return false
+			}
 			continue
 		}
-		s.now = top.at
-		s.floor = Key{at: top.at, seq: top.seq + 1}
+		c := &s.cells[id]
+		if c.fn == nil {
+			s.drop(id) // cancelled
+			continue
+		}
+		fn, k := c.fn, c.Key
+		// Recycle before firing: the callback frequently schedules a
+		// follow-up event, which can then reuse this slot immediately.
+		s.recycle(id)
+		s.queued--
+		s.mHeapDepth.Set(int64(s.queued))
+		s.now = k.at
+		s.floor = Key{at: k.at, seq: k.seq + 1}
 		s.mFired.Inc()
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run fires events until the queue empties or Stop is called.
@@ -244,7 +316,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(t time.Duration) {
 	s.stop = false
 	for !s.stop {
-		next, ok := s.peekTime()
+		next, ok := s.peekTime(t)
 		if !ok || next > t {
 			break
 		}
@@ -261,106 +333,163 @@ func (s *Simulator) RunUntil(t time.Duration) {
 func (s *Simulator) Stop() { s.stop = true }
 
 // Pending returns the number of scheduled (non-cancelled) events.
-func (s *Simulator) Pending() int { return len(s.heap) - s.dead }
+func (s *Simulator) Pending() int { return s.queued - s.dead }
 
-func (s *Simulator) peekTime() (time.Duration, bool) {
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if s.fns[top.id] != nil {
-			return top.at, true
-		}
-		s.pop()
-		s.recycle(top.id)
-		s.dead--
-		s.mHeapDepth.Set(int64(len(s.heap)))
-	}
-	return 0, false
-}
-
-// compact drops every dead slot from the heap at once and restores the
-// heap property bottom-up in O(n).
-func (s *Simulator) compact() {
-	live := s.heap[:0]
-	for _, e := range s.heap {
-		if s.fns[e.id] == nil {
-			s.recycle(e.id)
+// peekTime returns the time of the earliest live event, dropping the dead
+// slots ahead of it. The queue's base moves only to a time at or before
+// bound: RunUntil(bound) may leave the clock at bound, and a base past
+// the clock would misfile the events scheduled next. A time past bound
+// is therefore only a bucket's lower bound: every live event is at or
+// after it.
+func (s *Simulator) peekTime(bound time.Duration) (time.Duration, bool) {
+	for {
+		if s.readyHead < len(s.ready) {
+			id := s.ready[s.readyHead]
+			if s.cells[id].fn != nil {
+				return s.last, true
+			}
+			s.drop(s.take())
 			continue
 		}
-		live = append(live, e)
-	}
-	s.heap = live
-	s.dead = 0
-	// (n+2)/4-1 is the last parent, (n-2)/4, and -1 for n < 2.
-	for i := (len(live)+2)/4 - 1; i >= 0; i-- {
-		s.siftDown(i, live[i])
-	}
-	s.mHeapDepth.Set(int64(len(s.heap)))
-}
-
-// slot is one heap entry: the event's key and its arena index. It holds
-// no pointers, so the heap's backing array is never scanned by the GC and
-// moving entries costs plain word copies.
-type slot struct {
-	Key
-	id int32
-}
-
-func (a slot) less(b slot) bool { return a.before(b.Key) }
-
-// push and pop maintain a 4-ary min-heap on (at, seq): a shallower tree
-// than a binary heap, whose four children share a cache line or two.
-// Both sift with a hole — parents or children move into it and the new
-// entry is written once at the end — instead of swapping pairs.
-func (s *Simulator) push(e slot) {
-	h := append(s.heap, e)
-	s.heap = h
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.less(h[p]) {
-			break
+		m, ok := s.settle(bound)
+		if !ok || m > bound {
+			return m, ok
 		}
-		h[i] = h[p]
-		i = p
 	}
-	h[i] = e
 }
 
-func (s *Simulator) pop() slot {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap = s.heap[:n]
-	if n > 0 {
-		s.siftDown(0, last)
+// enqueue files a queued slot: at the base into the ready list, in seq
+// order, later into the bucket of the highest bit its time differs from
+// the base in.
+func (s *Simulator) enqueue(id int32) {
+	c := &s.cells[id]
+	x := uint64(c.at ^ s.last)
+	if x != 0 {
+		s.link(id, bits.Len64(x)-1)
+		return
 	}
-	return top
+	// A new key goes last; only a key reserved before some ready slot
+	// was scheduled moves ahead of it.
+	s.ready = append(s.ready, id)
+	r := s.ready
+	j := len(r) - 1
+	for j > s.readyHead && s.cells[r[j-1]].seq > c.seq {
+		r[j] = r[j-1]
+		j--
+	}
+	r[j] = id
 }
 
-// siftDown places e at or below index i.
-func (s *Simulator) siftDown(i int, e slot) {
-	h := s.heap
-	n := len(h)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+// link pushes slot id onto bucket b's list.
+func (s *Simulator) link(id int32, b int) {
+	c := &s.cells[id]
+	if s.full&(1<<b) != 0 {
+		c.next = s.heads[b]
+		s.mins[b] = min(s.mins[b], c.at)
+	} else {
+		c.next = -1
+		s.mins[b] = c.at
+		s.full |= 1 << b
+	}
+	s.heads[b] = id
+}
+
+// take removes and returns the first ready slot.
+func (s *Simulator) take() int32 {
+	id := s.ready[s.readyHead]
+	s.readyHead++
+	if s.readyHead == len(s.ready) {
+		s.ready = s.ready[:0]
+		s.readyHead = 0
+	}
+	return id
+}
+
+// settle refills the empty ready list from the lowest non-empty bucket
+// and returns that bucket's minimum m, or false when the queue is empty.
+// Only when m is at or before bound does it empty the bucket: m becomes
+// the base, the live slots at m become ready in seq order and the others
+// fall into lower buckets, while dead ones are dropped. An empty queue
+// takes the clock as its base, since the last slot taken out may have
+// been a dead one past the clock.
+func (s *Simulator) settle(bound time.Duration) (time.Duration, bool) {
+	if s.full == 0 {
+		s.last = s.now
+		return 0, false
+	}
+	b := bits.TrailingZeros64(s.full)
+	m := s.mins[b]
+	if m > bound {
+		return m, true
+	}
+	s.full &^= 1 << b
+	s.last = m
+	for id := s.heads[b]; id >= 0; {
+		c := &s.cells[id]
+		next := c.next
+		switch {
+		case c.fn == nil:
+			s.drop(id)
+		case c.at == m:
+			s.ready = append(s.ready, id)
+		default:
+			s.link(id, bits.Len64(uint64(c.at^m))-1)
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
+		id = next
+	}
+	if len(s.ready) > 1 {
+		s.sortReady()
+	}
+	return m, true
+}
+
+// sortReady puts a refilled ready list in seq order. Its slots come in
+// list order, mostly one run pushed in seq order and read back reversed,
+// so the list is reversed first when its ends say so; slices.SortFunc
+// then finishes nearly sorted input in linear time.
+func (s *Simulator) sortReady() {
+	r := s.ready
+	if s.cells[r[0]].seq > s.cells[r[len(r)-1]].seq {
+		slices.Reverse(r)
+	}
+	slices.SortFunc(r, func(a, b int32) int {
+		return cmp.Compare(s.cells[a].seq, s.cells[b].seq)
+	})
+}
+
+// compact drops every dead slot from the queue at once, filtering the
+// ready list in place and relinking each bucket's live slots.
+func (s *Simulator) compact() {
+	live := s.ready[:0]
+	for _, id := range s.ready[s.readyHead:] {
+		if s.cells[id].fn == nil {
+			s.recycle(id)
+			continue
 		}
-		for j := c + 1; j < end; j++ {
-			if h[j].less(h[m]) {
-				m = j
+		live = append(live, id)
+	}
+	s.ready, s.readyHead = live, 0
+	for m := s.full; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		head := int32(-1)
+		for id := s.heads[b]; id >= 0; {
+			c := &s.cells[id]
+			next := c.next
+			if c.fn == nil {
+				s.recycle(id)
+			} else {
+				c.next = head
+				head = id
 			}
+			id = next
 		}
-		if !h[m].less(e) {
-			break
+		if head < 0 {
+			s.full &^= 1 << b
+		} else {
+			s.heads[b] = head
 		}
-		h[i] = h[m]
-		i = m
 	}
-	h[i] = e
+	s.queued -= s.dead
+	s.dead = 0
+	s.mHeapDepth.Set(int64(s.queued))
 }

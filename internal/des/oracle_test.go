@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -127,10 +128,10 @@ func (o *oracle) cancel() {
 		return
 	}
 	e := o.events[len(o.events)-1-int(o.next())%min(64, len(o.events))]
-	before := len(o.s.heap)
+	before := o.s.queued
 	e.timer.Cancel()
 	e.live = false
-	if len(o.s.heap) < before {
+	if o.s.queued < before {
 		o.compactions++
 	}
 }
@@ -262,9 +263,54 @@ func TestCancelCompactsHeap(t *testing.T) {
 	if got := s.Pending(); got != len(timers) {
 		t.Fatalf("Pending = %d, want %d", got, len(timers))
 	}
-	if n := len(s.heap); n > 2*len(timers)+compactFloor+1 {
+	if n := s.queued; n > 2*len(timers)+compactFloor+1 {
 		t.Errorf("heap holds %d slots for %d live timers", n, len(timers))
 	}
+}
+
+// TestQueueBaseBehindClock pins the radix queue's invariant that its
+// base never passes the clock, in the two places it could. Each case
+// leaves the clock below a slot's time that the queue may take as its
+// base, then schedules between the two; events must fire in time order.
+func TestQueueBaseBehindClock(t *testing.T) {
+	ms := time.Millisecond
+	var fired []time.Duration
+	at := func(s *Simulator, ts ...time.Duration) {
+		for _, d := range ts {
+			s.At(d, func() { fired = append(fired, s.Now()) })
+		}
+	}
+	check := func(t *testing.T, s *Simulator, want ...time.Duration) {
+		t.Helper()
+		s.Run()
+		if !slices.Equal(fired, want) {
+			t.Errorf("fired at %v, want %v", fired, want)
+		}
+	}
+	// Run drops a dead slot at 10 ms and empties the queue, then the
+	// clock stops at 2 ms: the empty queue must not keep 10 ms as base.
+	// 9 ms shares bit 23 with 10 ms and 8, 5 and 2 ms do not, so on a
+	// 10 ms base 9 ms would file in a lower bucket and fire first.
+	t.Run("drained", func(t *testing.T) {
+		fired = nil
+		s := New()
+		s.At(10*ms, func() { t.Error("cancelled event fired") }).Cancel()
+		s.Run()
+		s.RunUntil(2 * ms)
+		at(s, 9*ms, 8*ms, 5*ms, 2*ms)
+		check(t, s, 2*ms, 5*ms, 8*ms, 9*ms)
+	})
+	// RunUntil(5 ms) sees the event at 10 ms and stops short of it: had
+	// the peek made 10 ms the base, the 10 ms event would be ready and
+	// fire before the one scheduled at 6 ms.
+	t.Run("peeked", func(t *testing.T) {
+		fired = nil
+		s := New()
+		at(s, 10*ms)
+		s.RunUntil(5 * ms)
+		at(s, 6*ms)
+		check(t, s, 6*ms, 10*ms)
+	})
 }
 
 func TestAtKeyPassedPanics(t *testing.T) {
