@@ -29,7 +29,7 @@ func (s *Sim) sendChunkE2E(f *flowState, seq int64) {
 	p := s.makeDataPacket(f, seq)
 	p.detourBudget = 0
 	if len(f.dataPath) < 2 {
-		s.deliver(p)
+		s.deliver(p, nil)
 		s.freePacket(p)
 		return
 	}
@@ -43,7 +43,7 @@ func (s *Sim) sendChunkE2E(f *flowState, seq int64) {
 func (s *Sim) aimdAckData(f *flowState) {
 	p := s.newPacket()
 	p.kind = pktAck
-	p.flow = f.tr.ID
+	p.f = f
 	p.cum = f.win.Next() - 1
 	p.size = requestSize
 	p.rest = append(p.rest, f.reqPath[1:]...)
@@ -59,7 +59,7 @@ func (s *Sim) aimdAckData(f *flowState) {
 // onAck is the AIMD sender's ack handler: window growth on progress,
 // fast retransmit on triple duplicates.
 func (s *Sim) onAck(p *packet) {
-	f := s.flows[p.flow]
+	f := p.f
 	if f.done && f.win.Done() {
 		return
 	}

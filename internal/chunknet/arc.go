@@ -27,7 +27,10 @@ const (
 // packet is anything travelling over an arc.
 type packet struct {
 	kind packetKind
-	flow int
+	// f is the transfer the packet belongs to (nil for back-pressure
+	// notifications): endpoints reach the flow through it, with no map
+	// lookup; traces print its transfer ID.
+	f    *flowState
 	seq  int64
 	size units.ByteSize
 
@@ -161,6 +164,14 @@ func (a *arcState) bind() {
 	a.txDoneFn, a.arriveFn = a.txDone, a.deliverHead
 }
 
+// flowID is the transfer ID of the packet's flow, 0 for none.
+func (p *packet) flowID() int {
+	if p.f == nil {
+		return 0
+	}
+	return p.f.tr.ID
+}
+
 // newPacket takes a packet from the pool (all fields zero, rest empty
 // with its backing array kept).
 func (s *Sim) newPacket() *packet {
@@ -195,12 +206,12 @@ func (a *arcState) send(p *packet) bool {
 	if !a.store.Offer(a.seqNo, p.size, now) {
 		a.sim.rep.ChunksDropped++
 		a.sim.mDropped.Inc()
-		a.sim.emitTrace("chunk_drop", p.flow, a.name, p.seq, 0)
+		a.sim.emitTrace("chunk_drop", p.flowID(), a.name, p.seq, 0)
 		return false
 	}
 	a.seqNo++
 	a.pktq = append(a.pktq, p)
-	a.sim.emitTrace("custody_enter", p.flow, a.name, p.seq, a.occupancyFraction())
+	a.sim.emitTrace("custody_enter", p.flowID(), a.name, p.seq, a.occupancyFraction())
 	a.sim.checkBackpressure(a, p)
 	a.kick()
 	return true
@@ -256,13 +267,22 @@ func (a *arcState) popStored() *packet {
 		a.pktHead = 0
 	}
 	a.maybeReleaseBackpressure()
-	a.sim.emitTrace("custody_exit", p.flow, a.name, p.seq, a.occupancyFraction())
+	a.sim.emitTrace("custody_exit", p.flowID(), a.name, p.seq, a.occupancyFraction())
 	return p
 }
 
 // transmit serialises p and schedules its arrival at the far end.
 func (a *arcState) transmit(p *packet) {
 	a.busy = true
+	tx := a.txRate().TransmissionTime(p.size)
+	a.sentBits += float64(p.size) * 8
+	a.cTxBytes.Add(int64(p.size))
+	a.txPkt = p
+	a.sim.des.After(tx, a.txDoneFn)
+}
+
+// txRate is the rate the serializer drains at now.
+func (a *arcState) txRate() units.BitRate {
 	rate := a.capRate
 	if a.down {
 		// Degraded phase: the serializer keeps draining at the minimum
@@ -275,11 +295,7 @@ func (a *arcState) transmit(p *packet) {
 	if rate <= 0 {
 		rate = units.BitRate(1) // fully throttled: crawl, don't stall forever
 	}
-	tx := rate.TransmissionTime(p.size)
-	a.sentBits += float64(p.size) * 8
-	a.cTxBytes.Add(int64(p.size))
-	a.txPkt = p
-	a.sim.des.After(tx, a.txDoneFn)
+	return rate
 }
 
 // txDone runs when serialisation finishes: the packet enters the

@@ -46,7 +46,7 @@ func (s *Sim) arcRequestMore(f *flowState) {
 // strict one-request-one-chunk closed loop, with no anticipation horizon
 // and no open-loop push.
 func (s *Sim) arcOnRequest(p *packet) {
-	f := s.flows[p.flow]
+	f := p.f
 	if p.resend {
 		s.rep.Retransmits++
 		s.mRetransmits.Inc()

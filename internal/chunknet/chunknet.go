@@ -105,6 +105,34 @@ const (
 	maxRTO = 200 * time.Millisecond
 )
 
+// validate rejects a config New cannot run as asked, naming the field.
+// Zero values are valid: they select the defaults.
+func (c *Config) validate() error {
+	if c.Transport < INRPP || c.Transport > ARC {
+		return fmt.Errorf("chunknet: unknown Transport %d", int(c.Transport))
+	}
+	if c.Failover < FailoverHold || c.Failover > FailoverBoth {
+		return fmt.Errorf("chunknet: unknown failover mode %d", int(c.Failover))
+	}
+	switch {
+	case c.ChunkSize < 0:
+		return fmt.Errorf("chunknet: negative ChunkSize %v", c.ChunkSize)
+	case c.Anticipation < 0:
+		return fmt.Errorf("chunknet: negative Anticipation %d", c.Anticipation)
+	case c.InitialRequestRate < 0:
+		return fmt.Errorf("chunknet: negative InitialRequestRate %v", c.InitialRequestRate)
+	case c.QueueBytes < 0:
+		return fmt.Errorf("chunknet: negative QueueBytes %v", c.QueueBytes)
+	case c.CustodyBytes < 0:
+		return fmt.Errorf("chunknet: negative CustodyBytes %v", c.CustodyBytes)
+	case c.Ti < 0:
+		return fmt.Errorf("chunknet: negative Ti %v", c.Ti)
+	case c.MinRTO < 0:
+		return fmt.Errorf("chunknet: negative MinRTO %v", c.MinRTO)
+	}
+	return nil
+}
+
 func (c *Config) applyDefaults() {
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 100 * units.KB
@@ -200,9 +228,9 @@ type Sim struct {
 	arcs  []*arcState // indexed 2*link+dir
 	srlgs []*srlgState
 
-	flows   map[int]*flowState
-	flowIDs []int
-	spTrees map[topo.NodeID]*route.Tree
+	flows    map[int]*flowState
+	flowList []*flowState // in AddTransfer order
+	spTrees  map[topo.NodeID]*route.Tree
 
 	// pktFree is the packet pool: every packet whose journey ended is
 	// recycled here, so per-chunk forwarding allocates nothing in steady
@@ -257,8 +285,8 @@ type nodeState struct {
 	arcTo   []int32
 	ifaceTo []core.IfaceID
 	est     *core.Estimator
-	schedRR int   // round-robin cursor over local sender flows
-	senders []int // transfer IDs originating here
+	schedRR int          // round-robin cursor over local sender flows
+	senders []*flowState // flows originating here
 }
 
 // New builds a simulation over g.
@@ -266,8 +294,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("chunknet: nil graph")
 	}
-	if cfg.Failover < FailoverHold || cfg.Failover > FailoverBoth {
-		return nil, fmt.Errorf("chunknet: unknown failover mode %d", int(cfg.Failover))
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg.applyDefaults()
 	w := warmPool.Get().(*warmBufs)
@@ -495,7 +523,7 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 	}
 	switch s.cfg.Transport {
 	case INRPP:
-		f.loopFn = func() { s.requestLoop(f) }
+		f.loopFn = func() { s.loopEvent(f) }
 	case AIMD:
 		f.timeoutFn = func() { s.aimdTimeout(f) }
 	case ARC:
@@ -503,8 +531,8 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 		f.timeoutFn = func() { s.arcTimeout(f) }
 	}
 	s.flows[tr.ID] = f
-	s.flowIDs = append(s.flowIDs, tr.ID)
-	s.nodes[tr.Src].senders = append(s.nodes[tr.Src].senders, tr.ID)
+	s.flowList = append(s.flowList, f)
+	s.nodes[tr.Src].senders = append(s.nodes[tr.Src].senders, f)
 	return nil
 }
 
@@ -522,12 +550,11 @@ func (s *Sim) Run(until time.Duration) *Report {
 	// ordering deterministically over same-instant flow activity.
 	s.startChurn()
 	// Kick off per-flow activity.
-	for _, id := range s.flowIDs {
-		f := s.flows[id]
+	for _, f := range s.flowList {
 		start := f.tr.Start
 		switch s.cfg.Transport {
 		case INRPP:
-			s.des.At(start, func() { s.requestLoop(f) })
+			s.armLoop(f, s.des.At(start, f.loopFn), start, false)
 		case AIMD:
 			s.des.At(start, func() { s.aimdStart(f) })
 		case ARC:
@@ -576,9 +603,8 @@ func (s *Sim) Run(until time.Duration) *Report {
 func (s *Sim) finalize(until time.Duration) {
 	s.rep.Duration = until
 	s.finishChurn(until)
-	for _, id := range s.flowIDs {
-		f := s.flows[id]
-		s.rep.DeliveredPerFlow[id] = f.win.Count()
+	for _, f := range s.flowList {
+		s.rep.DeliveredPerFlow[f.tr.ID] = f.win.Count()
 	}
 	for _, a := range s.arcs {
 		if a == nil {

@@ -292,7 +292,7 @@ func (a *arcState) dropInFlight(p *packet) {
 	if p.kind == pktData {
 		a.sim.rep.ChunksLostInFlight++
 		a.sim.mLostInFlight.Inc()
-		a.sim.emitTrace("chunk_lost", p.flow, a.name, p.seq, 0)
+		a.sim.emitTrace("chunk_lost", p.flowID(), a.name, p.seq, 0)
 	}
 	a.sim.freePacket(p)
 }
@@ -305,7 +305,7 @@ func (a *arcState) dropRandom(p *packet) {
 	a.sim.mPktsLostRandom.Inc()
 	a.cPktsLostRandom.Inc()
 	if p.kind == pktData {
-		a.sim.emitTrace("chunk_lost_random", p.flow, a.name, p.seq, 0)
+		a.sim.emitTrace("chunk_lost_random", p.flowID(), a.name, p.seq, 0)
 	}
 	a.sim.freePacket(p)
 }

@@ -226,7 +226,6 @@ func TestStoreKeysDenseUnderDrops(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		p := s.newPacket()
 		p.kind = pktData
-		p.flow = 1
 		p.seq = int64(i)
 		p.size = 10 * units.KB
 		p.prevHop = 0
@@ -288,7 +287,6 @@ func TestBackpressureWatermarkBoundaries(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p := s.newPacket()
 			p.kind = pktData
-			p.flow = 1
 			p.seq = int64(i)
 			p.size = 10 * units.KB
 			p.prevHop = 0 // a real upstream neighbor, so notification applies

@@ -129,7 +129,7 @@ func (s *Sim) evacuate(a *arcState) {
 		p.rest = append(p.rest[:0], via, a.to)
 		p.rest = append(p.rest, s.pathScratch...)
 		d.cDetourBytes.Add(int64(p.size))
-		s.emitTrace("evacuate", p.flow, d.name, p.seq, 0)
+		s.emitTrace("evacuate", p.flowID(), d.name, p.seq, 0)
 		d.send(p)
 	}
 }

@@ -219,6 +219,12 @@ func (s *Simulator) AtKey(k Key, fn func()) Timer {
 	return s.schedule(k, fn)
 }
 
+// Passed reports whether an event under k would already have fired: k
+// orders before the event being fired (or before the clock after
+// RunUntil). AtKey accepts exactly the reserved keys that have not
+// passed.
+func (s *Simulator) Passed(k Key) bool { return k.before(s.floor) }
+
 func (s *Simulator) reserve(t time.Duration) Key {
 	if t < s.now {
 		t = s.now
