@@ -228,9 +228,8 @@ type Sim struct {
 	arcs  []*arcState // indexed 2*link+dir
 	srlgs []*srlgState
 
-	flows    map[int]*flowState
-	flowList []*flowState // in AddTransfer order
-	spTrees  map[topo.NodeID]*route.Tree
+	flows   []*flowState // in AddTransfer order
+	spTrees map[topo.NodeID]*route.Tree
 
 	// pktFree is the packet pool: every packet whose journey ended is
 	// recycled here, so per-chunk forwarding allocates nothing in steady
@@ -304,7 +303,6 @@ func New(cfg Config) (*Sim, error) {
 		g:       cfg.Graph,
 		des:     w.des,
 		planner: core.NewPlanner(cfg.Graph, cfg.Planner),
-		flows:   make(map[int]*flowState),
 		spTrees: make(map[topo.NodeID]*route.Tree),
 		pktFree: w.pkts,
 		warm:    w,
@@ -496,8 +494,10 @@ func (s *Sim) emitTrace(event string, flow int, arc string, seq int64, v float64
 // AddTransfer registers a transfer before Run. Transfers with unreachable
 // endpoints are rejected.
 func (s *Sim) AddTransfer(tr Transfer) error {
-	if _, dup := s.flows[tr.ID]; dup {
-		return fmt.Errorf("chunknet: duplicate transfer ID %d", tr.ID)
+	for _, f := range s.flows {
+		if f.tr.ID == tr.ID {
+			return fmt.Errorf("chunknet: duplicate transfer ID %d", tr.ID)
+		}
 	}
 	tree, ok := s.spTrees[tr.Src]
 	if !ok {
@@ -530,8 +530,7 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 		f.reqSent = make(map[int64]time.Duration)
 		f.timeoutFn = func() { s.arcTimeout(f) }
 	}
-	s.flows[tr.ID] = f
-	s.flowList = append(s.flowList, f)
+	s.flows = append(s.flows, f)
 	s.nodes[tr.Src].senders = append(s.nodes[tr.Src].senders, f)
 	return nil
 }
@@ -550,7 +549,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 	// ordering deterministically over same-instant flow activity.
 	s.startChurn()
 	// Kick off per-flow activity.
-	for _, f := range s.flowList {
+	for _, f := range s.flows {
 		start := f.tr.Start
 		switch s.cfg.Transport {
 		case INRPP:
@@ -603,7 +602,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 func (s *Sim) finalize(until time.Duration) {
 	s.rep.Duration = until
 	s.finishChurn(until)
-	for _, f := range s.flowList {
+	for _, f := range s.flows {
 		s.rep.DeliveredPerFlow[f.tr.ID] = f.win.Count()
 	}
 	for _, a := range s.arcs {

@@ -18,8 +18,9 @@ import (
 
 // The INRPP fixture pins full reports of runs that stress the receiver's
 // request loop: interval below and above the arc delay, request lattices
-// that land exactly on delivery times, NACK re-arms under outages, churn
-// under every failover mode, the Fig 3 detour and small-custody
+// that land exactly on delivery times, one constructed run per
+// equal-time tie rule of the parked loop, NACK re-arms under outages,
+// churn under every failover mode, the Fig 3 detour and small-custody
 // back-pressure. It was captured from the polling request loop, which
 // re-armed itself every interval, so it pins the parked loop (see
 // requestLoop) to the same firing order.
