@@ -553,7 +553,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 		start := f.tr.Start
 		switch s.cfg.Transport {
 		case INRPP:
-			s.armLoop(f, s.des.At(start, f.loopFn), start, false)
+			f.arm(s.des.At(start, f.loopFn), start, false)
 		case AIMD:
 			s.des.At(start, func() { s.aimdStart(f) })
 		case ARC:

@@ -322,37 +322,30 @@ func (s *Sim) requestLoop(f *flowState) {
 			sent = true
 		}
 	}
-	interval := loopInterval(s.cfg.ChunkSize, f.rateEst)
-	f.lastAt, f.lastIdle = now, !sent
-	if sent {
-		s.armLoop(f, s.des.After(interval, f.loopFn), now+interval, false)
-		return
-	}
-	s.parkLoop(f, now, interval)
-}
-
-// loopInterval is the request loop's period: one chunk at the estimated
-// data rate, clamped to [10µs, 100ms].
-func loopInterval(chunk units.ByteSize, rateEst float64) time.Duration {
-	interval := time.Duration(chunk.Bits() / rateEst * float64(time.Second))
+	interval := time.Duration(s.cfg.ChunkSize.Bits() / f.rateEst * float64(time.Second))
 	if interval < 10*time.Microsecond {
 		interval = 10 * time.Microsecond
 	}
 	if interval > 100*time.Millisecond {
 		interval = 100 * time.Millisecond
 	}
-	return interval
+	f.lastAt, f.lastIdle = now, !sent
+	if sent {
+		f.arm(s.des.After(interval, f.loopFn), now+interval, false)
+		return
+	}
+	s.parkLoop(f, now, interval)
 }
 
-// armLoop records the loop's pending run.
-func (s *Sim) armLoop(f *flowState, tick des.Timer, at time.Duration, fresh bool) {
+// arm records the loop's pending run.
+func (f *flowState) arm(tick des.Timer, at time.Duration, fresh bool) {
 	f.tick, f.tickAt, f.tickFresh = tick, at, fresh
 }
 
 // loopEvent is the loop's DES callback (bound as f.loopFn).
 func (s *Sim) loopEvent(f *flowState) {
 	f.lastFresh = f.tickFresh
-	s.armLoop(f, des.Timer{}, 0, false)
+	f.arm(des.Timer{}, 0, false)
 	s.requestLoop(f)
 }
 
@@ -360,7 +353,7 @@ func (s *Sim) loopEvent(f *flowState) {
 // in for a run polling would have fired at this instant.
 func (s *Sim) runLoopNow(f *flowState) {
 	f.tick.Cancel()
-	s.armLoop(f, des.Timer{}, 0, false)
+	f.arm(des.Timer{}, 0, false)
 	f.lastFresh = true
 	s.requestLoop(f)
 }
@@ -372,7 +365,7 @@ func (s *Sim) runLoopNow(f *flowState) {
 // The run one interval before it is scheduled instead, the NACK's
 // lead-in: it idles and parks again, and that park takes the NACK's
 // key where polling took it. A lead-in at t+interval is simply the
-// loop armed as polling would arm it.
+// loop armed as polling would arm it, so the loop is not parked.
 func (s *Sim) parkLoop(f *flowState, t, interval time.Duration) {
 	f.parked = true
 	f.parkIvl = interval
@@ -384,13 +377,19 @@ func (s *Sim) parkLoop(f *flowState, t, interval time.Duration) {
 	if f.win.Next() == f.lastNack && f.nackAt > f.lastData {
 		due = f.nackAt + nackStall
 	}
-	at := max(nackLattice(t, interval, due)-interval, t+interval)
-	if at == t+interval {
-		f.parked = false
-		s.armLoop(f, s.des.AtKey(f.parkKey, f.loopFn), at, false)
-		return
+	f.parked = !s.runAt(f, max(nackLattice(t, interval, due)-interval, t+interval))
+}
+
+// runAt schedules the loop's run on lattice point at: under the key
+// reserved at the park when at is the lattice's first point, under a
+// fresh key otherwise. It reports whether the key is polling's.
+func (s *Sim) runAt(f *flowState, at time.Duration) bool {
+	if at == f.lastAt+f.parkIvl {
+		f.arm(s.des.AtKey(f.parkKey, f.loopFn), at, false)
+		return true
 	}
-	s.armLoop(f, s.des.At(at, f.loopFn), at, true)
+	f.arm(s.des.At(at, f.loopFn), at, true)
+	return false
 }
 
 // nackLattice is the first point of the lattice t + k·interval (k ≥ 1)
@@ -453,7 +452,7 @@ func (s *Sim) wakeLoop(f *flowState, a *arcState, size units.ByteSize) {
 	if f.done {
 		if f.parked {
 			f.tick.Cancel()
-			s.armLoop(f, des.Timer{}, 0, false)
+			f.arm(des.Timer{}, 0, false)
 			f.parked = false
 		}
 		return
@@ -470,11 +469,10 @@ func (s *Sim) wakeLoop(f *flowState, a *arcState, size units.ByteSize) {
 		return
 	}
 	f.tick.Cancel()
-	first := f.lastAt + f.parkIvl
 	at, onPoint := nextLattice(f.lastAt, f.parkIvl, now)
 	if onPoint {
 		var tickFirst bool
-		if at == first {
+		if at == f.lastAt+f.parkIvl {
 			tickFirst = s.des.Passed(f.parkKey)
 		} else {
 			tickFirst = tickBeforeArrival(f.parkIvl, a.delay, tx)
@@ -484,11 +482,7 @@ func (s *Sim) wakeLoop(f *flowState, a *arcState, size units.ByteSize) {
 		}
 	}
 	f.parked = false
-	if at == first {
-		s.armLoop(f, s.des.AtKey(f.parkKey, f.loopFn), at, false)
-		return
-	}
-	s.armLoop(f, s.des.At(at, f.loopFn), at, true)
+	s.runAt(f, at)
 }
 
 func (s *Sim) sendRequest(f *flowState, seq int64, resend bool) {
