@@ -246,6 +246,8 @@ type Sim struct {
 	// pickDetour's candidate list.
 	pathScratch   route.Path
 	detourScratch []topo.NodeID
+	// loopScratch is orderLoops' reusable group of same-instant runs.
+	loopScratch []*flowState
 
 	rep Report
 
@@ -286,6 +288,7 @@ type nodeState struct {
 	est     *core.Estimator
 	schedRR int          // round-robin cursor over local sender flows
 	senders []*flowState // flows originating here
+	rx      *rxLoops     // nil unless INRPP transfers are received here
 }
 
 // New builds a simulation over g.
@@ -523,7 +526,14 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 	}
 	switch s.cfg.Transport {
 	case INRPP:
+		f.loop = s.warm.loop()
+		f.loop.order = int32(len(s.flows))
 		f.loopFn = func() { s.loopEvent(f) }
+		ns := s.nodes[tr.Dst]
+		if ns.rx == nil {
+			ns.rx = &rxLoops{}
+		}
+		ns.rx.add(f)
 	case AIMD:
 		f.timeoutFn = func() { s.aimdTimeout(f) }
 	case ARC:
@@ -553,7 +563,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 		start := f.tr.Start
 		switch s.cfg.Transport {
 		case INRPP:
-			f.arm(s.des.At(start, f.loopFn), start, false)
+			s.runOn(f, s.des.Reserve(start), 0, false)
 		case AIMD:
 			s.des.At(start, func() { s.aimdStart(f) })
 		case ARC:

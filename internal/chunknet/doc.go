@@ -24,9 +24,10 @@
 // The INRPP receiver paces its requests on a lattice of one chunk at
 // the estimated data rate, but only runs when it has something to do:
 // an idle run parks the loop, and a delivery wakes it at the next
-// lattice point, or the NACK deadline does. Equal-time ties with the
-// flow's own deliveries are ordered as a loop polling every interval
-// would order them (see requestLoop in inrpp.go).
+// lattice point, or the NACK deadline does. Runs that meet the flow's
+// own deliveries, or other flows' runs, at one instant are ordered as a
+// loop polling every interval would order them (see requestLoop in
+// loop.go).
 //
 // The simulator is single-threaded and deterministic: the same Config
 // and transfer list always produce the same Report. A Sim that finishes

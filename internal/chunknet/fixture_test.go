@@ -232,6 +232,115 @@ func fixtureCases() []fixtureCase {
 			CustodyBytes: 2 * units.MB, InitialRequestRate: 10 * units.Gbps, Ti: 800 * time.Microsecond,
 		}, trs...)
 	}})
+	// Requests of different transfers at one instant, to one receiver:
+	// the fan-in of BenchmarkChunknetFanIn, whose transfers start on
+	// whole milliseconds so the 800 µs initial lattices of every fourth
+	// one coincide, and twelve transfers started within 120 µs of each
+	// other on one path.
+	cases = append(cases,
+		fixtureCase{"fanin/whole-ms-starts", 3 * time.Second, func(t *testing.T) *Sim {
+			const leaves = 8
+			g := topo.New("fanin")
+			g.AddNodes(leaves + 2)
+			hub, sink := topo.NodeID(leaves), topo.NodeID(leaves+1)
+			for l := 0; l < leaves; l++ {
+				g.MustAddLink(topo.NodeID(l), hub, 10*units.Gbps, time.Millisecond)
+			}
+			g.MustAddLink(hub, sink, 2*units.Gbps, time.Millisecond)
+			trs := make([]Transfer, 64)
+			for i := range trs {
+				trs[i] = Transfer{ID: i + 1, Src: topo.NodeID(i % leaves), Dst: sink, Chunks: 300,
+					Start: time.Duration(i) * time.Millisecond}
+			}
+			return newFixtureSim(t, Config{
+				Graph: g, Transport: INRPP, ChunkSize: 100 * units.KB, Anticipation: 64,
+				CustodyBytes: 200 * units.MB, InitialRequestRate: units.Gbps, Ti: 10 * time.Millisecond,
+			}, trs...)
+		}},
+		fixtureCase{"tie/started-within-120us", 1500 * time.Millisecond, func(t *testing.T) *Sim {
+			g := topo.New("chain")
+			g.AddNodes(3)
+			g.MustAddLink(0, 1, 20*units.Gbps, 40*time.Microsecond)
+			g.MustAddLink(1, 2, 2*units.Gbps, 160*time.Microsecond)
+			var trs []Transfer
+			for i, tr := range []struct {
+				chunks int64
+				start  time.Duration
+			}{{196, 1}, {232, 2}, {151, 1}, {179, 1}, {243, 1}, {121, 1}, {225, 1}, {125, 0}, {245, 1}, {181, 1}, {171, 2}, {179, 3}} {
+				trs = append(trs, Transfer{ID: i + 1, Src: 0, Dst: 2, Chunks: tr.chunks, Start: tr.start * 40 * time.Microsecond})
+			}
+			return newFixtureSim(t, Config{
+				Graph: g, Transport: INRPP, ChunkSize: 10 * units.KB, Anticipation: 8,
+				CustodyBytes: 10 * units.MB, InitialRequestRate: units.Gbps, Ti: 800 * time.Microsecond,
+			}, trs...)
+		}},
+		// Loops in step for longer than a few lattice stretches: ten
+		// transfers, five started together, at 100 KB chunks, and twelve
+		// started within 120 µs on a diamond.
+		fixtureCase{"tie/in-step-chain", 2792 * time.Millisecond, func(t *testing.T) *Sim {
+			g := topo.New("chain")
+			g.AddNodes(3)
+			g.MustAddLink(0, 1, 10*units.Gbps, time.Millisecond)
+			g.MustAddLink(1, 2, units.Gbps, 8*time.Microsecond)
+			var trs []Transfer
+			for i, tr := range []struct {
+				chunks int64
+				start  time.Duration
+			}{{96, 0}, {133, 320 * time.Microsecond}, {196, 0}, {178, 3048387}, {24, 1200 * time.Microsecond},
+				{29, 560 * time.Microsecond}, {66, 560 * time.Microsecond}, {73, 0}, {47, 0}, {163, 0}} {
+				trs = append(trs, Transfer{ID: i + 1, Src: 0, Dst: 2, Chunks: tr.chunks, Start: tr.start})
+			}
+			return newFixtureSim(t, Config{
+				Graph: g, Transport: INRPP, ChunkSize: 100 * units.KB, Anticipation: 4,
+				QueueBytes: 100 * units.KB, CustodyBytes: 2 * units.MB, InitialRequestRate: 100 * units.Mbps,
+				Ti: 800 * time.Microsecond, Failover: FailoverReroute, ChurnSeed: 4,
+			}, trs...)
+		}},
+		fixtureCase{"tie/in-step-diamond", 1275 * time.Millisecond, func(t *testing.T) *Sim {
+			g := topo.New("diamond")
+			g.AddNodes(4)
+			g.MustAddLink(0, 1, 4*units.Gbps, 120*time.Microsecond)
+			g.MustAddLink(1, 2, 2*units.Gbps, 40*time.Microsecond)
+			g.MustAddLink(1, 3, 20*units.Gbps, 40*time.Microsecond)
+			g.MustAddLink(3, 2, units.Gbps, 240*time.Microsecond)
+			var trs []Transfer
+			for i, tr := range []struct {
+				chunks int64
+				start  time.Duration
+			}{{76, 0}, {170, 0}, {191, 2}, {80, 1}, {69, 1}, {236, 0}, {220, 3}, {112, 3}, {113, 0}, {90, 2}, {57, 3}, {77, 0}} {
+				trs = append(trs, Transfer{ID: i + 1, Src: 0, Dst: 2, Chunks: tr.chunks, Start: tr.start * 40 * time.Microsecond})
+			}
+			return newFixtureSim(t, Config{
+				Graph: g, Transport: INRPP, ChunkSize: 10 * units.KB, Anticipation: 2,
+				CustodyBytes: 10 * units.MB, InitialRequestRate: units.Gbps, Failover: FailoverBoth,
+			}, trs...)
+		}},
+		// Loops whose kept stretches match though they started apart:
+		// a fan-in from four leaves, eight of ten transfers at zero.
+		fixtureCase{"tie/in-step-fanin", 1949 * time.Millisecond, func(t *testing.T) *Sim {
+			g := topo.New("fanin")
+			g.AddNodes(6)
+			g.MustAddLink(0, 4, 100*units.Mbps, 80*time.Microsecond)
+			maint := g.MustAddLink(1, 4, 2*units.Gbps, time.Millisecond)
+			g.MustAddLink(2, 4, 100*units.Mbps, 8*time.Microsecond)
+			g.MustAddLink(3, 4, 2*units.Gbps, 100*time.Microsecond)
+			g.MustAddLink(4, 5, units.Gbps, 80*time.Microsecond)
+			g.SetLinkCalendar(maint, topo.CalendarSpec{Windows: []topo.Window{{Start: 200 * time.Millisecond, End: 400 * time.Millisecond}}})
+			var trs []Transfer
+			for i, tr := range []struct {
+				src    topo.NodeID
+				chunks int64
+				start  time.Duration
+			}{{3, 41, 0}, {3, 185, 400 * time.Microsecond}, {3, 150, 0}, {1, 161, 0}, {0, 101, 4671312},
+				{1, 58, 0}, {2, 208, 0}, {1, 66, 0}, {2, 150, 0}, {1, 22, 1440 * time.Microsecond}} {
+				trs = append(trs, Transfer{ID: i + 1, Src: tr.src, Dst: 5, Chunks: tr.chunks, Start: tr.start})
+			}
+			return newFixtureSim(t, Config{
+				Graph: g, Transport: INRPP, ChunkSize: 10 * units.KB, Anticipation: 1,
+				InitialRequestRate: 500 * units.Mbps, Failover: FailoverBoth, ChurnSeed: 4,
+			}, trs...)
+		}},
+	)
 	// Stalls: the outage ends so that the first chunk after it lands
 	// exactly on the NACK's lattice point (305.04 ms), on the run one
 	// interval before it, and on neither.

@@ -29,23 +29,6 @@ type flowState struct {
 	nackAt   time.Duration // when lastNack was sent (INRPP re-arm)
 	done     bool
 
-	// Request loop scheduling (see requestLoop). parked: the loop idles
-	// on the lattice lastAt + k·parkIvl with no run pending, or only its
-	// NACK lead-in; parkKey is the key polling gave the lattice's first
-	// point. tick is the pending run, at tickAt; tickFresh marks one
-	// whose key was not taken where polling took it (one interval
-	// earlier, at the run before). lastFresh and lastIdle describe the
-	// latest run, at lastAt.
-	parked    bool
-	tickFresh bool
-	lastFresh bool
-	lastIdle  bool
-	tick      des.Timer
-	tickAt    time.Duration
-	lastAt    time.Duration
-	parkIvl   time.Duration
-	parkKey   des.Key
-
 	// Sender side (INRPP).
 	highestReq int64 // highest chunk covered by requests (incl. Ac)
 	nextSend   int64
@@ -70,6 +53,9 @@ type flowState struct {
 	// does not allocate a fresh closure per event.
 	loopFn    func()
 	timeoutFn func()
+	// loop schedules the INRPP request loop (loop.go); nil for AIMD and
+	// ARC.
+	loop *loopState
 	// ARC adaptive RTO state (RFC 6298 over request→data samples): the
 	// send time of each outstanding first-transmission request (resends
 	// are never sampled — Karn's algorithm), the smoothed RTT estimate
@@ -218,12 +204,11 @@ func (s *Sim) forwardControl(p *packet, node topo.NodeID) {
 // deliver hands a data chunk to its receiver; a is the arc it arrived
 // over (nil for a same-node transfer). It is the only event that changes
 // the request loop's inputs, so it is also what wakes a parked loop.
-// AIMD and ARC flows never run the loop: both loop checks below are
-// false for them.
+// AIMD and ARC flows have no loop: both loop checks stop at the nil.
 func (s *Sim) deliver(p *packet, a *arcState) {
 	f := p.f
 	now := s.des.Now()
-	if f.tickFresh && f.tickAt == now {
+	if l := f.loop; l != nil && l.tickFresh && l.tickKey.At() == now {
 		s.loopBeforeData(f, a, p.size)
 	}
 	if !f.win.OnData(p.seq) {
@@ -250,239 +235,9 @@ func (s *Sim) deliver(p *packet, a *arcState) {
 		s.mCompleted.Inc()
 		s.emitTrace("transfer_done", f.tr.ID, "", 0, (now - f.tr.Start).Seconds())
 	}
-	if f.parked || f.lastFresh && f.lastAt == now {
+	if l := f.loop; l != nil && (l.parked || l.lastFresh && l.lastAt == now) {
 		s.wakeLoop(f, a, p.size)
 	}
-}
-
-// nackStall is the INRPP receiver's stall threshold: no data for this
-// long (with requests outstanding) makes the receiver re-request the
-// first missing chunk, and each further epoch of silence re-arms the
-// NACK for the same chunk.
-const nackStall = 300 * time.Millisecond
-
-// requestLoop is the INRPP receiver: it paces ⟨Nc, ACKc, Ac⟩ requests at
-// the estimated data rate, re-requesting stalled chunks via explicit
-// NACK-like asks (§3.2: losses are identified by explicit timers or
-// NACKs, not by out-of-order delivery).
-//
-// The loop runs on a lattice: a run at t with interval I is followed by
-// one at t+I. A run that sends a request or a NACK schedules the next
-// one. An idle run parks the loop (parkLoop): its inputs (the window,
-// rateEst, lastData, done) change only in deliver, so every later run
-// on the lattice would idle too, until a delivery or the NACK deadline,
-// and none is scheduled. deliver wakes the loop (wakeLoop) at the first
-// lattice point whose run would have seen the delivery. So the loop
-// acts at exactly the times polling did. What remains is the order
-// among events at the same instant, which the DES takes from the order
-// their keys were taken in: a polling run took its key one interval
-// earlier, at the run before it. The cases:
-//
-//   - A run scheduled from a run (sent something, or the lattice's
-//     first point after a park) takes its key where polling did: exact.
-//   - A delivery on the parked lattice's first point: the key reserved
-//     at the park says whether polling's run fired before it.
-//   - A delivery on a later lattice point: tickBeforeArrival decides from
-//     the interval, the arc delay and the serialisation time.
-//   - A second delivery at the instant of a run woken with a fresh key:
-//     loopBeforeData runs the loop first when polling's run came first.
-//   - The NACK: parkLoop schedules the idle run one interval before it,
-//     whose re-park takes the NACK's key where polling did; a delivery
-//     at that lead-in instant that polling ordered first makes it run
-//     again (wakeLoop).
-//   - Runs of different flows at one instant go in the order their keys
-//     were taken. Where two flows share a lattice (transfers started
-//     together at one rate), a run woken with a fresh key can go after
-//     a run polling fired after it.
-func (s *Sim) requestLoop(f *flowState) {
-	f.parked = false
-	if f.done {
-		return
-	}
-	now := s.des.Now()
-	req := f.win.Request()
-	limit := req.Anticipated
-	sent := false
-	switch {
-	case f.nextReq <= limit && f.nextReq < f.tr.Chunks:
-		s.sendRequest(f, f.nextReq, false)
-		f.nextReq++
-		sent = true
-	case f.win.Next() < f.nextReq && now-f.lastData > nackStall:
-		// Stalled: re-request the first missing chunk once per stall
-		// epoch. The one-shot `missing != f.lastNack` guard alone
-		// deadlocked: if the re-request or the resent chunk was itself
-		// lost, missing never changed and no second NACK could ever
-		// fire. Re-arm once a full stall interval passes with no
-		// progress since the last NACK.
-		if missing := f.win.Next(); missing != f.lastNack || now-f.nackAt > nackStall {
-			f.lastNack = missing
-			f.nackAt = now
-			s.sendRequest(f, missing, true)
-			sent = true
-		}
-	}
-	interval := time.Duration(s.cfg.ChunkSize.Bits() / f.rateEst * float64(time.Second))
-	if interval < 10*time.Microsecond {
-		interval = 10 * time.Microsecond
-	}
-	if interval > 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	f.lastAt, f.lastIdle = now, !sent
-	if sent {
-		f.arm(s.des.After(interval, f.loopFn), now+interval, false)
-		return
-	}
-	s.parkLoop(f, now, interval)
-}
-
-// arm records the loop's pending run.
-func (f *flowState) arm(tick des.Timer, at time.Duration, fresh bool) {
-	f.tick, f.tickAt, f.tickFresh = tick, at, fresh
-}
-
-// loopEvent is the loop's DES callback (bound as f.loopFn).
-func (s *Sim) loopEvent(f *flowState) {
-	f.lastFresh = f.tickFresh
-	f.arm(des.Timer{}, 0, false)
-	s.requestLoop(f)
-}
-
-// runLoopNow cancels the pending run and runs the loop inline, standing
-// in for a run polling would have fired at this instant.
-func (s *Sim) runLoopNow(f *flowState) {
-	f.tick.Cancel()
-	f.arm(des.Timer{}, 0, false)
-	f.lastFresh = true
-	s.requestLoop(f)
-}
-
-// parkLoop parks the loop after an idle run at t. The key polling gave
-// the run at t+interval is reserved now, so a run scheduled there
-// later fires exactly where polling's would have. Without a delivery
-// the loop next acts at the first lattice point past the NACK deadline.
-// The run one interval before it is scheduled instead, the NACK's
-// lead-in: it idles and parks again, and that park takes the NACK's
-// key where polling took it. A lead-in at t+interval is simply the
-// loop armed as polling would arm it, so the loop is not parked.
-func (s *Sim) parkLoop(f *flowState, t, interval time.Duration) {
-	f.parked = true
-	f.parkIvl = interval
-	f.parkKey = s.des.Reserve(t + interval)
-	if f.win.Next() >= f.nextReq {
-		return // nothing outstanding: no NACK can come due
-	}
-	due := f.lastData + nackStall
-	if f.win.Next() == f.lastNack && f.nackAt > f.lastData {
-		due = f.nackAt + nackStall
-	}
-	f.parked = !s.runAt(f, max(nackLattice(t, interval, due)-interval, t+interval))
-}
-
-// runAt schedules the loop's run on lattice point at: under the key
-// reserved at the park when at is the lattice's first point, under a
-// fresh key otherwise. It reports whether the key is polling's.
-func (s *Sim) runAt(f *flowState, at time.Duration) bool {
-	if at == f.lastAt+f.parkIvl {
-		f.arm(s.des.AtKey(f.parkKey, f.loopFn), at, false)
-		return true
-	}
-	f.arm(s.des.At(at, f.loopFn), at, true)
-	return false
-}
-
-// nackLattice is the first point of the lattice t + k·interval (k ≥ 1)
-// strictly after due: a run there finds now-lastData > nackStall (and
-// now-nackAt > nackStall) with due the later of the two deadlines.
-func nackLattice(t, interval, due time.Duration) time.Duration {
-	if due < t {
-		return t + interval
-	}
-	return t + ((due-t)/interval+1)*interval
-}
-
-// nextLattice returns the first point of the lattice t + k·interval
-// (k ≥ 1) at or after now, and whether it is now itself.
-func nextLattice(t, interval, now time.Duration) (time.Duration, bool) {
-	if now <= t {
-		return t + interval, false
-	}
-	k := (now - t + interval - 1) / interval
-	at := t + k*interval
-	return at, at == now
-}
-
-// tickBeforeArrival reports whether the polling loop's run on a lattice
-// point fired before a data arrival at the same instant. Equal-time
-// events fire in the order their keys were taken. The run took its key
-// one interval earlier, at the run before it; the arrival took its key
-// when its serialisation ended, delay earlier. When those coincide, the
-// run before took its key another interval earlier, and the serializer
-// took its completion key tx before that: the earlier one fired first,
-// and with it its successor's key. When those coincide too, the run is
-// put first.
-func tickBeforeArrival(interval, delay, tx time.Duration) bool {
-	if interval != delay {
-		return interval > delay
-	}
-	return interval >= tx
-}
-
-// loopBeforeData runs before a delivery that lands at the instant of
-// the loop's pending run with a fresh key, which orders the run after
-// this arrival. If polling's run came first, the loop runs now, before
-// the delivery changes its inputs.
-func (s *Sim) loopBeforeData(f *flowState, a *arcState, size units.ByteSize) {
-	if a == nil || !tickBeforeArrival(f.parkIvl, a.delay, a.txRate().TransmissionTime(size)) {
-		return
-	}
-	s.runLoopNow(f)
-}
-
-// wakeLoop follows a delivery that changed the loop's inputs. An idle
-// run with a fresh key (a NACK lead-in) that went before this arrival
-// at the same instant, where polling's went after it, runs again. A
-// parked loop is woken: its next run goes on the first lattice point
-// whose polling run would have seen this delivery. On a lattice point
-// itself that is this instant when polling's run fired after the
-// arrival, the next point otherwise; for the lattice's first point the
-// reserved key says which, later points follow tickBeforeArrival.
-func (s *Sim) wakeLoop(f *flowState, a *arcState, size units.ByteSize) {
-	if f.done {
-		if f.parked {
-			f.tick.Cancel()
-			f.arm(des.Timer{}, 0, false)
-			f.parked = false
-		}
-		return
-	}
-	if a == nil {
-		return // same-node delivery inside the loop's own run
-	}
-	now := s.des.Now()
-	tx := a.txRate().TransmissionTime(size)
-	if f.lastFresh && f.lastAt == now && f.lastIdle && !tickBeforeArrival(f.parkIvl, a.delay, tx) {
-		s.runLoopNow(f)
-	}
-	if !f.parked {
-		return
-	}
-	f.tick.Cancel()
-	at, onPoint := nextLattice(f.lastAt, f.parkIvl, now)
-	if onPoint {
-		var tickFirst bool
-		if at == f.lastAt+f.parkIvl {
-			tickFirst = s.des.Passed(f.parkKey)
-		} else {
-			tickFirst = tickBeforeArrival(f.parkIvl, a.delay, tx)
-		}
-		if tickFirst {
-			at += f.parkIvl
-		}
-	}
-	f.parked = false
-	s.runAt(f, at)
 }
 
 func (s *Sim) sendRequest(f *flowState, seq int64, resend bool) {

@@ -156,7 +156,11 @@ type Key struct {
 	seq uint64
 }
 
-func (k Key) before(o Key) bool {
+// At is the event time the key fires at.
+func (k Key) At() time.Duration { return k.at }
+
+// Before reports whether k fires before o.
+func (k Key) Before(o Key) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
@@ -213,7 +217,7 @@ func (s *Simulator) Reserve(t time.Duration) Key {
 // order before the event being fired (nor before the clock): it panics
 // otherwise, since the event would fire out of order.
 func (s *Simulator) AtKey(k Key, fn func()) Timer {
-	if k.seq >= s.seq || k.before(s.floor) {
+	if k.seq >= s.seq || k.Before(s.floor) {
 		panic("des: AtKey with a key not reserved or already passed")
 	}
 	return s.schedule(k, fn)
@@ -223,7 +227,7 @@ func (s *Simulator) AtKey(k Key, fn func()) Timer {
 // orders before the event being fired (or before the clock after
 // RunUntil). AtKey accepts exactly the reserved keys that have not
 // passed.
-func (s *Simulator) Passed(k Key) bool { return k.before(s.floor) }
+func (s *Simulator) Passed(k Key) bool { return k.Before(s.floor) }
 
 func (s *Simulator) reserve(t time.Duration) Key {
 	if t < s.now {

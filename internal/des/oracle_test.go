@@ -67,7 +67,7 @@ func (o *oracle) live() int {
 func (o *oracle) min() *refEvent {
 	var m *refEvent
 	for _, e := range o.events {
-		if e.live && (m == nil || e.key.before(m.key)) {
+		if e.live && (m == nil || e.key.Before(m.key)) {
 			m = e
 		}
 	}
@@ -156,7 +156,7 @@ func (o *oracle) atKey() {
 	}
 	k := o.reserved[0]
 	o.reserved = o.reserved[1:]
-	if k.before(o.floor) {
+	if k.Before(o.floor) {
 		defer func() {
 			if recover() == nil {
 				o.t.Fatalf("AtKey(%v) with floor %v did not panic", k, o.floor)
