@@ -138,3 +138,56 @@ func TestParkedLoopFiresNoIdleTicks(t *testing.T) {
 		t.Errorf("%d DES events before the first delivery; the idle loop is polling", fired)
 	}
 }
+
+// TestLoopBefore pins the order loopBefore gives two loops' runs at one
+// instant: the run whose predecessor took its key earlier fires first,
+// equal predecessors are ordered one step further back, and first runs,
+// keyed before any event, fire first and in AddTransfer order.
+func TestLoopBefore(t *testing.T) {
+	const us = time.Microsecond
+	type run struct{ at, ivl time.Duration }
+	loop := func(order int32, runs ...run) *loopState {
+		l := &loopState{order: order}
+		for _, r := range runs {
+			l.noteRun(r.at, r.ivl)
+		}
+		return l
+	}
+	// many has more stretches than a loop keeps: each run sets a new
+	// interval. It returns the loop and the instant of its next run.
+	many := func(order int32) (*loopState, time.Duration) {
+		l, at := &loopState{order: order}, time.Duration(0)
+		for i := 1; i <= loopSegs+2; i++ {
+			ivl := time.Duration(i) * 10 * us
+			l.noteRun(at, ivl)
+			at += ivl
+		}
+		return l, at
+	}
+	deepA, next := many(0)
+	deepB, _ := many(1)
+	for _, c := range []struct {
+		name       string
+		a, b       *loopState
+		at         time.Duration
+		before, ok bool
+	}{
+		{"longer interval took its key first", loop(1, run{0, 100 * us}), loop(0, run{0, 50 * us}), 100 * us, true, true},
+		{"started together, AddTransfer order", loop(0, run{0, 80 * us}), loop(1, run{0, 80 * us}), 800 * us, true, true},
+		{"started together, AddTransfer order reversed", loop(1, run{0, 80 * us}), loop(0, run{0, 80 * us}), 800 * us, false, true},
+		{"a first run beats an older loop", loop(0, run{0, 80 * us}), loop(1, run{160 * us, 80 * us}), 800 * us, false, true},
+		{"equal stretches walk back to the start", loop(1, run{0, 80 * us}, run{400 * us, 100 * us}),
+			loop(0, run{0, 80 * us}, run{400 * us, 100 * us}), 900 * us, false, true},
+		{"in step beyond the kept stretches", deepA, deepB, next, false, false},
+	} {
+		before, ok := loopBefore(c.a, c.b, c.at)
+		if before != c.before || ok != c.ok {
+			t.Errorf("%s: loopBefore = %v, %v; want %v, %v", c.name, before, ok, c.before, c.ok)
+		}
+	}
+	// Loops in step over all their kept stretches most likely started
+	// together: they fall back to AddTransfer order.
+	if !pollsBefore(deepA, deepB, next) || pollsBefore(deepB, deepA, next) {
+		t.Error("loops in step beyond their kept stretches are not in AddTransfer order")
+	}
+}
