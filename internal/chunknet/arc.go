@@ -175,6 +175,7 @@ func (p *packet) flowID() int {
 // newPacket takes a packet from the pool (all fields zero, rest empty
 // with its backing array kept).
 func (s *Sim) newPacket() *packet {
+	s.livePkts++
 	if n := len(s.pktFree); n > 0 {
 		p := s.pktFree[n-1]
 		s.pktFree = s.pktFree[:n-1]
@@ -187,6 +188,7 @@ func (s *Sim) newPacket() *packet {
 // by a handler, or dropped). The caller must hold the only live
 // reference.
 func (s *Sim) freePacket(p *packet) {
+	s.livePkts--
 	*p = packet{rest: p.rest[:0]}
 	s.pktFree = append(s.pktFree, p)
 }

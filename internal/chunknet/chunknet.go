@@ -235,6 +235,10 @@ type Sim struct {
 	// recycled here, so per-chunk forwarding allocates nothing in steady
 	// state (see newPacket/freePacket in arc.go).
 	pktFree []*packet
+	// livePkts counts packets taken from the pool and not yet freed, and
+	// undone the transfers not yet complete: the inputs of drained.
+	livePkts int
+	undone   int
 	// warm holds the buffers taken over from an earlier Sim until Run
 	// hands them on (see warm.go).
 	warm *warmBufs
@@ -541,6 +545,7 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 		f.timeoutFn = func() { s.arcTimeout(f) }
 	}
 	s.flows = append(s.flows, f)
+	s.undone++
 	s.nodes[tr.Src].senders = append(s.nodes[tr.Src].senders, f)
 	return nil
 }
@@ -570,10 +575,14 @@ func (s *Sim) Run(until time.Duration) *Report {
 			s.des.At(start, func() { s.arcStart(f) })
 		}
 	}
-	// Periodic estimator ticks on every node (INRPP only).
+	// Periodic estimator ticks on every node (INRPP only), until the
+	// horizon or until the Sim has drained.
 	if s.cfg.Transport == INRPP {
 		var tick func()
 		tick = func() {
+			if s.drained() {
+				return
+			}
 			s.tickEstimators()
 			if s.des.Now() < until {
 				s.des.After(s.cfg.Ti, tick)

@@ -29,6 +29,16 @@
 // loop polling every interval would order them (see requestLoop in
 // loop.go).
 //
+// Routers close their eq. 1 measurement interval every Ti (the
+// estimator tick). A tick asks the detour planner for a detour only on
+// an interface that is congested at its smoothed anticipated rate, the
+// only case in which the phase update reads the answer. The tick chain
+// ends at the horizon or once the Sim has drained: every transfer done,
+// no packet alive and no sender resend queued, after which nothing
+// reads a phase or a rate again. Idle arcs are not skipped by value: a
+// loaded arc's rate EWMA decays toward 0 but sticks at a denormal
+// (about 1e-323) instead of reaching it.
+//
 // The simulator is single-threaded and deterministic: the same Config
 // and transfer list always produce the same Report. A Sim that finishes
 // Run passes its DES arrays, packets, store, queue and pipe arrays and

@@ -186,11 +186,9 @@ func (s *Sim) pickDetour(a *arcState, p *packet) (topo.NodeID, bool) {
 // and forwards it toward the content source.
 func (s *Sim) forwardRequest(p *packet, node topo.NodeID) {
 	ns := s.nodes[node]
-	next := p.rest[0]
 	if ns.est != nil {
-		via := ns.ifaceTo[next]
 		if dataIface := ns.ifaceTo[p.prevHop]; dataIface >= 0 {
-			ns.est.RecordRequest(via, dataIface, 1)
+			ns.est.RecordRequest(dataIface, 1)
 		}
 	}
 	s.routeControl(node, p)
@@ -231,6 +229,7 @@ func (s *Sim) deliver(p *packet, a *arcState) {
 	}
 	if f.win.Done() && !f.done {
 		f.done = true
+		s.undone--
 		s.rep.Completions[f.tr.ID] = now - f.tr.Start
 		s.mCompleted.Inc()
 		s.emitTrace("transfer_done", f.tr.ID, "", 0, (now - f.tr.Start).Seconds())
@@ -454,7 +453,11 @@ const rateEWMA = 0.25
 
 // tickEstimators closes the measurement interval on every router:
 // anticipated rates from eq. 1, measured arc throughput for neighbour
-// state, and the phase update of every interface.
+// state, and the phase update of every interface. The planner is asked
+// for a detour only where the interface is congested, the one case in
+// which Update reads the answer. HasDetour reads the lastRate of the
+// arcs this tick has already updated, so the arc order is part of the
+// result.
 func (s *Sim) tickEstimators() {
 	tiSec := s.cfg.Ti.Seconds()
 	for _, ns := range s.nodes {
@@ -469,10 +472,26 @@ func (s *Sim) tickEstimators() {
 			a.sentBits = 0
 			instantAnt := ns.est.AnticipatedRate(core.IfaceID(iface))
 			a.antRate += units.BitRate(rateEWMA) * (instantAnt - a.antRate)
-			hasDetour := s.planner.HasDetour(a.arc, s.residualFn)
+			hasDetour := a.iface.Congested(a.antRate) && s.planner.HasDetour(a.arc, s.residualFn)
 			a.iface.Update(a.antRate, hasDetour)
 		}
 	}
+}
+
+// drained reports whether no data packet can be created any more: every
+// transfer is done, no packet is alive, and no sender holds a queued
+// resend. Nothing reads an interface's phase or rates after that, so the
+// estimator ticks stop.
+func (s *Sim) drained() bool {
+	if s.undone > 0 || s.livePkts > 0 {
+		return false
+	}
+	for _, f := range s.flows {
+		if len(f.resendQ) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // pathUsesArc reports whether the path traverses the given directed arc.

@@ -93,9 +93,11 @@ func (i *Interface) Rate() units.BitRate { return i.rate }
 // stability (the paper's "avoid extensive link swapping").
 func (i *Interface) Transitions() int { return i.transitions }
 
-// congested reports whether demand has reached supply under theta, with
-// hysteresis applied relative to the current phase.
-func (i *Interface) congested(anticipated units.BitRate) bool {
+// Congested reports whether demand has reached supply under theta, with
+// hysteresis applied relative to the current phase. It is the only case
+// in which Update reads detour availability, so a caller may skip the
+// detour search whenever it is false.
+func (i *Interface) Congested(anticipated units.BitRate) bool {
 	enter := units.BitRate(theta) * i.rate
 	if i.phase == PhasePushData {
 		return anticipated >= enter
@@ -108,7 +110,8 @@ func (i *Interface) congested(anticipated units.BitRate) bool {
 
 // Update advances the state machine given the latest anticipated rate for
 // this interface and whether any detour path with spare capacity exists,
-// returning the (possibly new) phase:
+// returning the (possibly new) phase. detourAvailable is read only when
+// the interface is Congested:
 //
 //	r_a < r           → push-data
 //	r_a ≥ r, detour   → detour
@@ -116,7 +119,7 @@ func (i *Interface) congested(anticipated units.BitRate) bool {
 func (i *Interface) Update(anticipated units.BitRate, detourAvailable bool) Phase {
 	var next Phase
 	switch {
-	case !i.congested(anticipated):
+	case !i.Congested(anticipated):
 		next = PhasePushData
 	case detourAvailable:
 		next = PhaseDetour

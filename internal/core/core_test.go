@@ -57,6 +57,46 @@ func TestInterfaceHysteresis(t *testing.T) {
 	}
 }
 
+// TestUpdateIgnoresDetourWhenUncongested pins what lets a caller skip
+// the detour search: whenever Congested is false, Update returns the same
+// phase and counts the same transitions with or without a detour. Both
+// hysteresis branches are covered, from push-data (enter threshold) and
+// from detour and back-pressure (leave threshold).
+func TestUpdateIgnoresDetourWhenUncongested(t *testing.T) {
+	const rate = 10 * units.Mbps
+	starts := []struct {
+		name  string
+		enter func(*Interface)
+	}{
+		{"push-data", func(*Interface) {}},
+		{"detour", func(i *Interface) { i.Update(2*rate, true) }},
+		{"back-pressure", func(i *Interface) { i.Update(2*rate, false) }},
+	}
+	for _, st := range starts {
+		for r := units.BitRate(0); r <= 1.2*rate; r += rate / 200 {
+			probe := NewInterface(rate)
+			st.enter(probe)
+			if probe.Congested(r) {
+				continue
+			}
+			with, without := NewInterface(rate), NewInterface(rate)
+			st.enter(with)
+			st.enter(without)
+			pw, pwo := with.Update(r, true), without.Update(r, false)
+			if pw != pwo || with.Transitions() != without.Transitions() {
+				t.Errorf("from %s at %v: Update(true) = %v/%d, Update(false) = %v/%d",
+					st.name, r, pw, with.Transitions(), pwo, without.Transitions())
+			}
+		}
+	}
+	// The sweep covers both sides of each branch's threshold.
+	fromPush, fromDetour := NewInterface(rate), NewInterface(rate)
+	fromDetour.Update(2*rate, true)
+	if fromPush.Congested(0.97*rate) || !fromDetour.Congested(0.97*rate) {
+		t.Error("0.97·rate should be uncongested from push-data, congested from detour")
+	}
+}
+
 func TestInterfaceOverflow(t *testing.T) {
 	iface := NewInterface(10 * units.Mbps)
 	if got := iface.Overflow(13 * units.Mbps); got != 3*units.Mbps {
@@ -68,21 +108,12 @@ func TestInterfaceOverflow(t *testing.T) {
 }
 
 func TestEstimatorEq1(t *testing.T) {
-	// Router with 3 interfaces: requests forwarded by iface 0, split 3:1
-	// between data returning via ifaces 1 and 2.
+	// Router with 3 interfaces: requests split 3:1 between data returning
+	// via ifaces 1 and 2.
 	chunk := units.ByteSize(1000) // 8000 bits
 	e := NewEstimator(3, chunk, time.Second)
-	e.RecordRequest(0, 1, 3)
-	e.RecordRequest(0, 2, 1)
-	if got := e.Ratio(0, 1); got != 0.75 {
-		t.Errorf("y(0→1) = %v, want 0.75", got)
-	}
-	if got := e.Ratio(0, 2); got != 0.25 {
-		t.Errorf("y(0→2) = %v, want 0.25", got)
-	}
-	if got := e.Ratio(1, 0); got != 0 {
-		t.Errorf("ratio with no requests = %v, want 0", got)
-	}
+	e.RecordRequest(1, 3)
+	e.RecordRequest(2, 1)
 
 	e.Tick(time.Second)
 	// 3 chunks × 8000 bits over 1s = 24 kbps anticipated on iface 1.
@@ -95,18 +126,19 @@ func TestEstimatorEq1(t *testing.T) {
 	if got := e.AnticipatedRate(0); got != 0 {
 		t.Errorf("r_a(0) = %v, want 0", got)
 	}
-	// Counts reset after Tick.
-	if got := e.Ratio(0, 1); got != 0 {
-		t.Errorf("ratio after tick = %v, want 0", got)
+	// Counts reset after Tick: an interval without requests reads 0.
+	e.Tick(2 * time.Second)
+	if got := e.AnticipatedRate(1); got != 0 {
+		t.Errorf("r_a(1) after an empty interval = %v, want 0", got)
 	}
 }
 
 func TestEstimatorMultipleIngress(t *testing.T) {
-	// Data for iface 2 announced via two different ingress interfaces
-	// must sum (the central management entity of §3.3).
+	// Data for iface 2 requested through two different ingress
+	// interfaces must sum (the central management entity of §3.3).
 	e := NewEstimator(3, 1000, time.Second)
-	e.RecordRequest(0, 2, 2)
-	e.RecordRequest(1, 2, 3)
+	e.RecordRequest(2, 2)
+	e.RecordRequest(2, 3)
 	e.Tick(time.Second)
 	if got := e.AnticipatedRate(2); got != 40*units.Kbps {
 		t.Errorf("r_a(2) = %v, want 40Kbps", got)
@@ -115,7 +147,7 @@ func TestEstimatorMultipleIngress(t *testing.T) {
 
 func TestEstimatorElapsedWindow(t *testing.T) {
 	e := NewEstimator(2, 1000, time.Second)
-	e.RecordRequest(0, 1, 10)
+	e.RecordRequest(1, 10)
 	e.Tick(2 * time.Second) // window actually lasted 2s
 	if got := e.AnticipatedRate(1); got != 40*units.Kbps {
 		t.Errorf("r_a over 2s window = %v, want 40Kbps", got)

@@ -19,16 +19,19 @@ type IfaceID int
 //
 //	r_a(i) = chunkSize · reqs(i) / Ti
 //
-// and the per-pair ratios y_{j→i} of eq. 1. Ti is meant to approximate the
-// average RTT of data chunks (footnote 4); callers may update it between
-// intervals via SetInterval.
+// Eq. 1 weights each forwarding interface j's requests by the ratio
+// y_{j→i}; summed over j, that is just the number of requests whose data
+// returns through i, so the estimator keeps one count per interface.
+// Ti is meant to approximate the average RTT of data chunks (footnote
+// 4); callers may update it between intervals via SetInterval.
 type Estimator struct {
 	interval  time.Duration
 	chunkSize units.ByteSize
 
-	// counts[j][i] = requests forwarded during the current interval by
-	// interface j whose data will return through interface i.
-	counts [][]float64
+	// reqs[i] = chunks requested during the current interval whose data
+	// will return through interface i. The counts are whole numbers below
+	// 2^53, so they are exact in float64.
+	reqs []float64
 	// rates[i] = anticipated rate of interface i from the last closed
 	// interval.
 	rates []units.BitRate
@@ -45,14 +48,10 @@ func NewEstimator(n int, chunkSize units.ByteSize, interval time.Duration) *Esti
 	if interval <= 0 {
 		panic("core: estimator interval must be positive")
 	}
-	counts := make([][]float64, n)
-	for i := range counts {
-		counts[i] = make([]float64, n)
-	}
 	return &Estimator{
 		interval:  interval,
 		chunkSize: chunkSize,
-		counts:    counts,
+		reqs:      make([]float64, n),
 		rates:     make([]units.BitRate, n),
 	}
 }
@@ -67,28 +66,11 @@ func (e *Estimator) SetInterval(ti time.Duration) {
 	}
 }
 
-// RecordRequest notes that interface via forwarded a request upstream for
-// chunks (≥1 when requests carry anticipation windows) whose data will
-// come back through interface dataIface.
-func (e *Estimator) RecordRequest(via, dataIface IfaceID, chunks int) {
-	e.counts[via][dataIface] += float64(chunks)
-}
-
-// Ratio returns y_{via→dataIface} of eq. 1: the fraction of requests
-// forwarded by interface via during the current interval whose data
-// returns through dataIface, relative to all requests via forwarded for
-// the other interfaces.
-func (e *Estimator) Ratio(via, dataIface IfaceID) float64 {
-	var total float64
-	for i, c := range e.counts[via] {
-		if IfaceID(i) != via {
-			total += c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return e.counts[via][dataIface] / total
+// RecordRequest notes that a request for chunks (≥1 when requests carry
+// anticipation windows) was forwarded upstream, whose data will come back
+// through interface dataIface.
+func (e *Estimator) RecordRequest(dataIface IfaceID, chunks int) {
+	e.reqs[dataIface] += float64(chunks)
 }
 
 // Tick closes the current measurement interval at time now: anticipated
@@ -99,16 +81,11 @@ func (e *Estimator) Tick(now time.Duration) {
 	if elapsed <= 0 {
 		elapsed = e.interval
 	}
-	for i := range e.rates {
-		var reqs float64
-		for j := range e.counts {
-			reqs += e.counts[j][i]
-		}
+	sec := elapsed.Seconds()
+	for i, reqs := range e.reqs {
 		bits := reqs * e.chunkSize.Bits()
-		e.rates[i] = units.BitRate(bits / elapsed.Seconds())
-		for j := range e.counts {
-			e.counts[j][i] = 0
-		}
+		e.rates[i] = units.BitRate(bits / sec)
+		e.reqs[i] = 0
 	}
 	e.windowStart = now
 }

@@ -34,7 +34,7 @@ type Grant struct {
 
 // Planner finds and sizes detours around congested links, caching the
 // candidate enumeration — in both orientations, with the sub-paths
-// pre-resolved to directed arcs — per link. It is the engine of the
+// pre-resolved to directed arcs — per arc. It is the engine of the
 // detour phase, shared by both simulators. Plan reuses internal scratch,
 // so a planner must not be shared across goroutines (each simulation run
 // owns its own, as before).
@@ -44,7 +44,9 @@ type Planner struct {
 	extraHop      bool
 	maxCandidates int
 
-	cache map[cacheKey]*candSet
+	// cands is the candidate cache, indexed 2*link+dir like the arcs of
+	// both simulators; a nil entry is not built yet.
+	cands []*candSet
 
 	// Plan scratch, reused across calls: the returned grants and the
 	// donor-arc consumption ledger. Candidate sets are ≤ MaxCandidates
@@ -52,12 +54,6 @@ type Planner struct {
 	grants       []Grant
 	consumedArcs []topo.Arc
 	consumedVals []units.BitRate
-}
-
-// cacheKey identifies one orientation of one link's candidate set.
-type cacheKey struct {
-	id  topo.LinkID
-	dir topo.Direction
 }
 
 // candSet is a cached candidate enumeration: the oriented sub-paths and
@@ -93,7 +89,7 @@ func NewPlanner(g *topo.Graph, cfg PlannerConfig) *Planner {
 		mode:          cfg.Mode,
 		extraHop:      cfg.ExtraHop,
 		maxCandidates: cfg.MaxCandidates,
-		cache:         make(map[cacheKey]*candSet),
+		cands:         make([]*candSet, 2*g.NumLinks()),
 	}
 }
 
@@ -107,13 +103,13 @@ func (p *Planner) Candidates(id topo.LinkID, dir topo.Direction) []route.Subpath
 // candidates returns the cached oriented candidate set for one direction
 // of a link, building (and arc-resolving) it on first use.
 func (p *Planner) candidates(id topo.LinkID, dir topo.Direction) *candSet {
-	if set, ok := p.cache[cacheKey{id, dir}]; ok {
+	if set := p.cands[2*int(id)+int(dir)]; set != nil {
 		return set
 	}
-	fwd, ok := p.cache[cacheKey{id, topo.Forward}]
-	if !ok {
+	fwd := p.cands[2*int(id)+int(topo.Forward)]
+	if fwd == nil {
 		fwd = p.resolve(route.Subpaths(p.g, id, p.extraHop, p.maxCandidates))
-		p.cache[cacheKey{id, topo.Forward}] = fwd
+		p.cands[2*int(id)+int(topo.Forward)] = fwd
 	}
 	if dir == topo.Forward {
 		return fwd
@@ -128,7 +124,7 @@ func (p *Planner) candidates(id topo.LinkID, dir topo.Direction) *candSet {
 		rev[i] = route.Subpath{Path: rp, Extra: s.Extra}
 	}
 	set := p.resolve(rev)
-	p.cache[cacheKey{id, topo.Reverse}] = set
+	p.cands[2*int(id)+int(topo.Reverse)] = set
 	return set
 }
 

@@ -18,9 +18,10 @@
 #               value is recorded in every snapshot's env block)
 #
 # The suite covers the two simulation hot paths (flowsim allocator,
-# chunknet DES) plus the DES kernel (schedule-and-run, nested cascade,
-# cancel-and-re-arm, fan-in event mix), routing (Dijkstra, sub-paths,
-# ECMP), the custody store, and the sweep fold and worker pool; allocs/op
+# chunknet DES) and chunknet's INRPP estimator tick, plus the DES kernel
+# (schedule-and-run, nested cascade, cancel-and-re-arm, fan-in event mix),
+# routing (Dijkstra, sub-paths, ECMP), the custody store, and the sweep
+# fold and worker pool; allocs/op
 # is the gated metric because it is machine-independent, unlike wall-clock.
 # Only the GATED list below fails a smoke run; the other benchmarks are
 # recorded for the per-layer breakdown.
@@ -50,6 +51,7 @@ run_pkg() {
 echo "bench: running suite (benchtime $BENCHTIME)..." >&2
 run_pkg . 'BenchmarkFig4Scaled|BenchmarkFig4Huge|BenchmarkChunknetFanIn|BenchmarkChunknetDetour|BenchmarkChunknetLossy'
 run_pkg ./internal/flowsim 'BenchmarkProgressiveFill|BenchmarkFillClasses|BenchmarkFillClassesSparse|BenchmarkRunSP|BenchmarkRunINRP'
+run_pkg ./internal/chunknet 'BenchmarkTickEstimators'
 run_pkg ./internal/des 'BenchmarkScheduleAndRun|BenchmarkNestedCascade|BenchmarkCancelRearm|BenchmarkFanInMix'
 run_pkg ./internal/route 'BenchmarkDijkstraLevel3|BenchmarkSubpaths|BenchmarkECMPBuild'
 run_pkg ./internal/cache 'BenchmarkCustodyOfferPop'
