@@ -29,7 +29,7 @@ func (s *Sim) sendChunkE2E(f *flowState, seq int64) {
 	p := s.makeDataPacket(f, seq)
 	p.detourBudget = 0
 	if len(f.dataPath) < 2 {
-		s.deliver(p, nil)
+		s.deliver(p)
 		s.freePacket(p)
 		return
 	}

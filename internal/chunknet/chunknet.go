@@ -250,8 +250,6 @@ type Sim struct {
 	// pickDetour's candidate list.
 	pathScratch   route.Path
 	detourScratch []topo.NodeID
-	// loopScratch is orderLoops' reusable group of same-instant runs.
-	loopScratch []*flowState
 
 	rep Report
 
@@ -292,7 +290,6 @@ type nodeState struct {
 	est     *core.Estimator
 	schedRR int          // round-robin cursor over local sender flows
 	senders []*flowState // flows originating here
-	rx      *rxLoops     // nil unless INRPP transfers are received here
 }
 
 // New builds a simulation over g.
@@ -530,14 +527,8 @@ func (s *Sim) AddTransfer(tr Transfer) error {
 	}
 	switch s.cfg.Transport {
 	case INRPP:
-		f.loop = s.warm.loop()
-		f.loop.order = int32(len(s.flows))
-		f.loopFn = func() { s.loopEvent(f) }
-		ns := s.nodes[tr.Dst]
-		if ns.rx == nil {
-			ns.rx = &rxLoops{}
-		}
-		ns.rx.add(f)
+		f.rank = uint32(len(s.flows))
+		f.loopFn = func() { s.requestLoop(f) }
 	case AIMD:
 		f.timeoutFn = func() { s.aimdTimeout(f) }
 	case ARC:
@@ -568,7 +559,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 		start := f.tr.Start
 		switch s.cfg.Transport {
 		case INRPP:
-			s.runOn(f, s.des.Reserve(start), 0, false)
+			s.runAt(f, start)
 		case AIMD:
 			s.des.At(start, func() { s.aimdStart(f) })
 		case ARC:
@@ -590,9 +581,11 @@ func (s *Sim) Run(until time.Duration) *Report {
 		}
 		s.des.After(s.cfg.Ti, tick)
 	}
-	// Custody-occupancy sampling at estimator cadence. The callback only
-	// reads store state, so the extra kernel events cannot change the
-	// simulation outcome (the golden-with-metrics tests pin this).
+	// Custody-occupancy sampling at estimator cadence, until the horizon
+	// or the first sample after the Sim has drained (every store is then
+	// empty for good). The callback only reads store state, so the extra
+	// kernel events cannot change the simulation outcome (the
+	// golden-with-metrics tests pin this).
 	if s.sCustody != nil {
 		var sample func()
 		sample = func() {
@@ -606,7 +599,7 @@ func (s *Sim) Run(until time.Duration) *Report {
 			if used > s.gCustodyPeak.Value() {
 				s.gCustodyPeak.Set(used)
 			}
-			if s.des.Now() < until {
+			if s.des.Now() < until && !s.drained() {
 				s.des.After(s.cfg.Ti, sample)
 			}
 		}

@@ -24,10 +24,10 @@
 // The INRPP receiver paces its requests on a lattice of one chunk at
 // the estimated data rate, but only runs when it has something to do:
 // an idle run parks the loop, and a delivery wakes it at the next
-// lattice point, or the NACK deadline does. Runs that meet the flow's
-// own deliveries, or other flows' runs, at one instant are ordered as a
-// loop polling every interval would order them (see requestLoop in
-// loop.go).
+// lattice point, or the NACK deadline does (see requestLoop in
+// loop.go). The model's equal-time order: at one instant every other
+// event fires first, in DES key order, and then the request-loop runs
+// fire, in AddTransfer order. So a run at t sees every delivery at t.
 //
 // Routers close their eq. 1 measurement interval every Ti (the
 // estimator tick). A tick asks the detour planner for a detour only on

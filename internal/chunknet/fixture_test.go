@@ -18,12 +18,13 @@ import (
 
 // The INRPP fixture pins full reports of runs that stress the receiver's
 // request loop: interval below and above the arc delay, request lattices
-// that land exactly on delivery times, one constructed run per
-// equal-time tie rule of the parked loop, NACK re-arms under outages,
+// that land exactly on delivery times, constructed runs whose loop runs
+// tie with deliveries or with each other, NACK re-arms under outages,
 // churn under every failover mode, the Fig 3 detour and small-custody
-// back-pressure. It was captured from the polling request loop, which
-// re-armed itself every interval, so it pins the parked loop (see
-// requestLoop) to the same firing order.
+// back-pressure. It was first captured from a polling request loop,
+// which re-armed itself every interval, and recaptured under the stated
+// order (doc.go): at one instant the loop runs fire after every other
+// event, in AddTransfer order.
 //
 // Regenerate (only when an intentional physics change lands) with:
 //
@@ -118,7 +119,7 @@ func fixtureDiamond(t *testing.T, mode FailoverMode, loss float64) *Sim {
 }
 
 // fixtureTieLine is a single transfer over a line of equal links, built
-// so that one of the loop's equal-time tie rules decides the run:
+// so that a loop run and a delivery tie:
 // every serialisation and delay is a whole number of nanoseconds, and
 // the initial request interval (chunk at initial rate) is a round
 // 80 µs. down, when non-zero, takes the last link down from 5 ms for
@@ -170,21 +171,21 @@ func fixtureCases() []fixtureCase {
 			func(t *testing.T) *Sim { return fixtureLattice(t, lt.rate, lt.delay, 4) },
 		})
 	}
-	// Single-transfer ties, one per rule (see tickBeforeArrival and
-	// wakeLoop). With 10 KB chunks the interval stays 80 µs until the
-	// second delivery.
+	// Single-transfer ties of a loop run and a delivery; the run goes
+	// after the delivery. With 10 KB chunks the interval stays 80 µs
+	// until the second delivery.
 	for _, tc := range []struct {
 		name  string
 		hops  int
 		delay time.Duration
 		ac    int64
 	}{
-		// A second delivery lands on the woken run's lattice point with
-		// the delay below the interval: the run goes first.
+		// A second delivery lands on the woken run's lattice point, with
+		// the delay below the interval ...
 		{"tie/second-delivery-3hop", 3, 47960 * time.Nanosecond, 1},
 		{"tie/second-delivery-2hop", 2, 73960 * time.Nanosecond, 1},
 		{"tie/second-delivery-ac2", 3, 59960 * time.Nanosecond, 2},
-		// ... and with the delay above it: the delivery goes first.
+		// ... and with the delay above it.
 		{"tie/second-delivery-arrival-first", 2, 93960 * time.Nanosecond, 1},
 		// A delivery lands on a later lattice point of a parked loop,
 		// with the delay below and above the interval.
@@ -200,7 +201,7 @@ func fixtureCases() []fixtureCase {
 		}})
 	}
 	cases = append(cases,
-		// Delay equal to the interval: the serialisation time decides. A
+		// Delay equal to the interval, serialisation shorter and longer. A
 		// 9,900 B chunk plus a 100 B request take 80 µs at 1 Gbps, a
 		// 19,900 B one 160 µs, so the first delivery lands on a lattice
 		// point of the loop parked at 160 µs.
@@ -212,9 +213,8 @@ func fixtureCases() []fixtureCase {
 		}},
 	)
 	// Transfers started together tick on one lattice until data
-	// arrives. A loop woken on its lattice's first point fires under the
-	// key polling reserved for it, so their requests keep polling's
-	// order there.
+	// arrives, and keep meeting there once woken: their requests leave
+	// in AddTransfer order.
 	cases = append(cases, fixtureCase{"tie/started-together", 1231 * time.Millisecond, func(t *testing.T) *Sim {
 		g := topo.New("chain")
 		g.AddNodes(3)
@@ -274,9 +274,9 @@ func fixtureCases() []fixtureCase {
 				CustodyBytes: 10 * units.MB, InitialRequestRate: units.Gbps, Ti: 800 * time.Microsecond,
 			}, trs...)
 		}},
-		// Loops in step for longer than a few lattice stretches: ten
-		// transfers, five started together, at 100 KB chunks, and twelve
-		// started within 120 µs on a diamond.
+		// Loops in step for a long time: ten transfers, five started
+		// together, at 100 KB chunks, and twelve started within 120 µs
+		// on a diamond.
 		fixtureCase{"tie/in-step-chain", 2792 * time.Millisecond, func(t *testing.T) *Sim {
 			g := topo.New("chain")
 			g.AddNodes(3)
@@ -315,8 +315,8 @@ func fixtureCases() []fixtureCase {
 				CustodyBytes: 10 * units.MB, InitialRequestRate: units.Gbps, Failover: FailoverBoth,
 			}, trs...)
 		}},
-		// Loops whose kept stretches match though they started apart:
-		// a fan-in from four leaves, eight of ten transfers at zero.
+		// Loops in step though some started apart: a fan-in from four
+		// leaves, eight of ten transfers at zero.
 		fixtureCase{"tie/in-step-fanin", 1949 * time.Millisecond, func(t *testing.T) *Sim {
 			g := topo.New("fanin")
 			g.AddNodes(6)
@@ -342,8 +342,8 @@ func fixtureCases() []fixtureCase {
 		}},
 	)
 	// Stalls: the outage ends so that the first chunk after it lands
-	// exactly on the NACK's lattice point (305.04 ms), on the run one
-	// interval before it, and on neither.
+	// exactly on the NACK's lattice point (305.04 ms), on the lattice
+	// point one interval before it, and on neither.
 	for _, down := range []time.Duration{299760 * time.Microsecond, 299680 * time.Microsecond, 299840 * time.Microsecond} {
 		down := down
 		cases = append(cases, fixtureCase{fmt.Sprintf("tie/nack-outage-%v", down), 2 * time.Second, func(t *testing.T) *Sim {

@@ -28,6 +28,14 @@ type flowState struct {
 	lastNack int64
 	nackAt   time.Duration // when lastNack was sent (INRPP re-arm)
 	done     bool
+	// The request loop (loop.go): parked is set while it idles on its
+	// lattice, with at most its NACK run pending; rank is the flow's
+	// index in AddTransfer order, its runs' rank in the DES; tick is the
+	// pending run; the last run was at lastAt with interval ivl.
+	parked      bool
+	rank        uint32
+	tick        des.Timer
+	lastAt, ivl time.Duration
 
 	// Sender side (INRPP).
 	highestReq int64 // highest chunk covered by requests (incl. Ac)
@@ -53,9 +61,6 @@ type flowState struct {
 	// does not allocate a fresh closure per event.
 	loopFn    func()
 	timeoutFn func()
-	// loop schedules the INRPP request loop (loop.go); nil for AIMD and
-	// ARC.
-	loop *loopState
 	// ARC adaptive RTO state (RFC 6298 over request→data samples): the
 	// send time of each outstanding first-transmission request (resends
 	// are never sampled — Karn's algorithm), the smoothed RTT estimate
@@ -80,7 +85,7 @@ func (s *Sim) arrive(p *packet, a *arcState) {
 	switch p.kind {
 	case pktData:
 		if len(p.rest) == 0 {
-			s.deliver(p, a)
+			s.deliver(p)
 			s.freePacket(p)
 			return
 		}
@@ -199,16 +204,12 @@ func (s *Sim) forwardControl(p *packet, node topo.NodeID) {
 	s.routeControl(node, p)
 }
 
-// deliver hands a data chunk to its receiver; a is the arc it arrived
-// over (nil for a same-node transfer). It is the only event that changes
-// the request loop's inputs, so it is also what wakes a parked loop.
-// AIMD and ARC flows have no loop: both loop checks stop at the nil.
-func (s *Sim) deliver(p *packet, a *arcState) {
+// deliver hands a data chunk to its receiver. It is the only event that
+// changes the request loop's inputs, so it is also what wakes a parked
+// loop. AIMD and ARC flows have no loop and are never parked.
+func (s *Sim) deliver(p *packet) {
 	f := p.f
 	now := s.des.Now()
-	if l := f.loop; l != nil && l.tickFresh && l.tickKey.At() == now {
-		s.loopBeforeData(f, a, p.size)
-	}
 	if !f.win.OnData(p.seq) {
 		return // duplicate
 	}
@@ -234,8 +235,8 @@ func (s *Sim) deliver(p *packet, a *arcState) {
 		s.mCompleted.Inc()
 		s.emitTrace("transfer_done", f.tr.ID, "", 0, (now - f.tr.Start).Seconds())
 	}
-	if l := f.loop; l != nil && (l.parked || l.lastFresh && l.lastAt == now) {
-		s.wakeLoop(f, a, p.size)
+	if f.parked {
+		s.wakeLoop(f)
 	}
 }
 
@@ -293,7 +294,7 @@ func (s *Sim) kickSender(f *flowState) {
 				return
 			}
 			p := s.makeDataPacket(f, seq)
-			s.deliver(p, nil)
+			s.deliver(p)
 			s.freePacket(p)
 		}
 	}

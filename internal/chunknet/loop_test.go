@@ -1,6 +1,8 @@
 package chunknet
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -53,21 +55,19 @@ func TestConfigValidation(t *testing.T) {
 func TestLoopLattice(t *testing.T) {
 	const t0, ivl = 5 * time.Millisecond, 80 * time.Microsecond
 	for _, c := range []struct {
-		name    string
-		now     time.Duration
-		at      time.Duration
-		onPoint bool
+		name string
+		now  time.Duration
+		at   time.Duration
 	}{
-		{"same instant as the park", t0, t0 + ivl, false},
-		{"inside the first interval", t0 + 1, t0 + ivl, false},
-		{"on the first point", t0 + ivl, t0 + ivl, true},
-		{"after 3 idle intervals", t0 + 3*ivl + 7*time.Microsecond, t0 + 4*ivl, false},
-		{"on a later point", t0 + 7*ivl, t0 + 7*ivl, true},
-		{"one ns past a point", t0 + 7*ivl + 1, t0 + 8*ivl, false},
+		{"same instant as the park", t0, t0 + ivl},
+		{"inside the first interval", t0 + 1, t0 + ivl},
+		{"on the first point", t0 + ivl, t0 + ivl},
+		{"after 3 idle intervals", t0 + 3*ivl + 7*time.Microsecond, t0 + 4*ivl},
+		{"on a later point", t0 + 7*ivl, t0 + 7*ivl},
+		{"one ns past a point", t0 + 7*ivl + 1, t0 + 8*ivl},
 	} {
-		at, on := nextLattice(t0, ivl, c.now)
-		if at != c.at || on != c.onPoint {
-			t.Errorf("%s: nextLattice = %v, %v; want %v, %v", c.name, at, on, c.at, c.onPoint)
+		if at := nextLattice(t0, ivl, c.now); at != c.at {
+			t.Errorf("%s: nextLattice = %v, want %v", c.name, at, c.at)
 		}
 	}
 	for _, c := range []struct {
@@ -88,36 +88,11 @@ func TestLoopLattice(t *testing.T) {
 	}
 }
 
-// TestTickBeforeArrival pins the equal-time tie rule between a polling
-// run on a lattice point and a data arrival at the same instant: the
-// event whose key was taken earlier fires first.
-func TestTickBeforeArrival(t *testing.T) {
-	const us = time.Microsecond
-	for _, c := range []struct {
-		name                string
-		interval, delay, tx time.Duration
-		tickFirst           bool
-	}{
-		// The run's key was taken at now-I, the arrival's at now-d.
-		{"interval below delay", 80 * us, 1000 * us, 8 * us, false},
-		{"interval above delay", 80 * us, 20 * us, 8 * us, true},
-		// I == d: the run before took its key at now-2I, the serializer
-		// its completion key at now-d-tx.
-		{"equal, serialisation shorter", 80 * us, 80 * us, 8 * us, true},
-		{"equal, serialisation longer", 80 * us, 80 * us, 160 * us, false},
-		{"equal, serialisation equal", 80 * us, 80 * us, 80 * us, true},
-	} {
-		if got := tickBeforeArrival(c.interval, c.delay, c.tx); got != c.tickFirst {
-			t.Errorf("%s: tickBeforeArrival = %v, want %v", c.name, got, c.tickFirst)
-		}
-	}
-}
-
 // TestParkedLoopFiresNoIdleTicks: a receiver whose Ac window is full
 // schedules nothing until data arrives. Over a 200 ms one-way path at the
 // 10 µs interval floor, a polling loop would tick 40,000 times before
 // the first chunk returned; the parked loop fires one run per request,
-// plus the stall NACK and its lead-in run.
+// plus the stall NACK's run.
 func TestParkedLoopFiresNoIdleTicks(t *testing.T) {
 	g := topo.New("long")
 	g.AddNodes(2)
@@ -139,55 +114,95 @@ func TestParkedLoopFiresNoIdleTicks(t *testing.T) {
 	}
 }
 
-// TestLoopBefore pins the order loopBefore gives two loops' runs at one
-// instant: the run whose predecessor took its key earlier fires first,
-// equal predecessors are ordered one step further back, and first runs,
-// keyed before any event, fire first and in AddTransfer order.
-func TestLoopBefore(t *testing.T) {
+// TestRequestLoopOrder checks the model's equal-time order on random
+// configurations built to tie: line, diamond, star and fan-in shapes
+// with round-number rates, delays and starts, and transfers between
+// random node pairs, so receivers also send. At one instant every other
+// event fires before the request-loop runs, so no chunk of a transfer
+// is delivered at an instant at which its loop has already run, and the
+// runs of one receiver fire once each, in AddTransfer order.
+func TestRequestLoopOrder(t *testing.T) {
 	const us = time.Microsecond
-	type run struct{ at, ivl time.Duration }
-	loop := func(order int32, runs ...run) *loopState {
-		l := &loopState{order: order}
-		for _, r := range runs {
-			l.noteRun(r.at, r.ivl)
+	rates := []units.BitRate{100 * units.Mbps, 500 * units.Mbps, units.Gbps, 2 * units.Gbps, 10 * units.Gbps}
+	delays := []time.Duration{8 * us, 20 * us, 40 * us, 80 * us, 100 * us, 160 * us}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(n int) int { return rng.Intn(n) }
+	for i := 0; i < 1000; i++ {
+		g := topo.New("order")
+		link := func(a, b int) {
+			g.MustAddLink(topo.NodeID(a), topo.NodeID(b), rates[pick(len(rates))], delays[pick(len(delays))])
 		}
-		return l
-	}
-	// many has more stretches than a loop keeps: each run sets a new
-	// interval. It returns the loop and the instant of its next run.
-	many := func(order int32) (*loopState, time.Duration) {
-		l, at := &loopState{order: order}, time.Duration(0)
-		for i := 1; i <= loopSegs+2; i++ {
-			ivl := time.Duration(i) * 10 * us
-			l.noteRun(at, ivl)
-			at += ivl
+		var shape string
+		switch pick(4) {
+		case 0:
+			shape = "line"
+			g.AddNodes(3 + pick(3))
+			for n := 1; n < g.NumNodes(); n++ {
+				link(n-1, n)
+			}
+		case 1:
+			shape = "diamond"
+			g.AddNodes(4)
+			link(0, 1)
+			link(0, 2)
+			link(1, 3)
+			link(2, 3)
+		case 2:
+			shape = "star"
+			g.AddNodes(4 + pick(3))
+			for n := 1; n < g.NumNodes(); n++ {
+				link(0, n)
+			}
+		default:
+			shape = "fanin"
+			leaves := 3 + pick(3)
+			g.AddNodes(leaves + 2)
+			for l := 0; l < leaves; l++ {
+				link(l, leaves)
+			}
+			link(leaves, leaves+1)
 		}
-		return l, at
-	}
-	deepA, next := many(0)
-	deepB, _ := many(1)
-	for _, c := range []struct {
-		name       string
-		a, b       *loopState
-		at         time.Duration
-		before, ok bool
-	}{
-		{"longer interval took its key first", loop(1, run{0, 100 * us}), loop(0, run{0, 50 * us}), 100 * us, true, true},
-		{"started together, AddTransfer order", loop(0, run{0, 80 * us}), loop(1, run{0, 80 * us}), 800 * us, true, true},
-		{"started together, AddTransfer order reversed", loop(1, run{0, 80 * us}), loop(0, run{0, 80 * us}), 800 * us, false, true},
-		{"a first run beats an older loop", loop(0, run{0, 80 * us}), loop(1, run{160 * us, 80 * us}), 800 * us, false, true},
-		{"equal stretches walk back to the start", loop(1, run{0, 80 * us}, run{400 * us, 100 * us}),
-			loop(0, run{0, 80 * us}, run{400 * us, 100 * us}), 900 * us, false, true},
-		{"in step beyond the kept stretches", deepA, deepB, next, false, false},
-	} {
-		before, ok := loopBefore(c.a, c.b, c.at)
-		if before != c.before || ok != c.ok {
-			t.Errorf("%s: loopBefore = %v, %v; want %v, %v", c.name, before, ok, c.before, c.ok)
+		trs := make([]Transfer, 2+pick(7))
+		for j := range trs {
+			src := pick(g.NumNodes())
+			dst := (src + 1 + pick(g.NumNodes()-1)) % g.NumNodes()
+			trs[j] = Transfer{ID: j + 1, Src: topo.NodeID(src), Dst: topo.NodeID(dst),
+				Chunks: int64(10 + pick(40)), Start: time.Duration(pick(8)) * 40 * us}
 		}
-	}
-	// Loops in step over all their kept stretches most likely started
-	// together: they fall back to AddTransfer order.
-	if !pollsBefore(deepA, deepB, next) || pollsBefore(deepB, deepA, next) {
-		t.Error("loops in step beyond their kept stretches are not in AddTransfer order")
+		name := fmt.Sprintf("config %d (%s)", i, shape)
+		s := newFixtureSim(t, Config{
+			Graph: g, Transport: INRPP, ChunkSize: 10 * units.KB, Anticipation: int64(1 << pick(4)),
+			CustodyBytes: 10 * units.MB, InitialRequestRate: rates[1+pick(3)],
+		}, trs...)
+		var faults []string
+		type run struct {
+			at   time.Duration
+			rank int
+		}
+		last := map[topo.NodeID]run{}
+		for rank, f := range s.flows {
+			rank, f, loop := rank, f, f.loopFn
+			f.loopFn = func() {
+				now := s.des.Now()
+				if r, ok := last[f.tr.Dst]; ok && r.at == now && r.rank >= rank {
+					faults = append(faults, fmt.Sprintf("at %v, receiver %d runs transfer %d after transfer %d",
+						now, f.tr.Dst, f.tr.ID, s.flows[r.rank].tr.ID))
+				}
+				last[f.tr.Dst] = run{now, rank}
+				loop()
+				n := f.win.Count()
+				// This check fires after every event pending at now.
+				s.des.At(now, func() {
+					if f.win.Count() != n {
+						faults = append(faults, fmt.Sprintf("at %v, transfer %d gets a chunk after its loop ran",
+							now, f.tr.ID))
+					}
+				})
+			}
+		}
+		s.Run(200 * time.Millisecond)
+		if len(faults) > 0 {
+			t.Errorf("%s: %d order faults, first: %s", name, len(faults), faults[0])
+		}
 	}
 }

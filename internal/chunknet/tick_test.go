@@ -12,9 +12,8 @@ import (
 )
 
 // tickRun runs cfg with the given transfers to horizon under a registry
-// and returns the report and the DES events fired, less the custody
-// sampler's: the sampler observes store occupancy to the horizon by
-// design, so only the simulation's own events are counted.
+// and returns the report and the DES events fired, the custody
+// sampler's included.
 func tickRun(t *testing.T, cfg Config, horizon time.Duration, trs ...Transfer) (*Report, int64) {
 	t.Helper()
 	reg := obs.New("tick-test")
@@ -29,8 +28,7 @@ func tickRun(t *testing.T, cfg Config, horizon time.Duration, trs ...Transfer) (
 		}
 	}
 	rep := s.Run(horizon)
-	fired := reg.Counter("des_events_fired").Value()
-	return rep, fired - reg.Sampler("chunknet_custody_used_bytes", 0).Count()
+	return rep, reg.Counter("des_events_fired").Value()
 }
 
 // TestDrainedRunStopsTicking: once every transfer is done and no packet
@@ -73,15 +71,15 @@ func TestDrainedRunStopsTicking(t *testing.T) {
 }
 
 // TestUndrainedRunTicksToHorizon: a transfer that cannot finish by the
-// horizon (here: it starts after it) keeps the estimator ticking every
-// Ti until the horizon.
+// horizon (here: it starts after it) keeps the estimator ticking, and
+// the custody sampler sampling, every Ti until the horizon.
 func TestUndrainedRunTicksToHorizon(t *testing.T) {
 	cfg := Config{Graph: topo.Line(3), Transport: INRPP, ChunkSize: 10 * units.KB, Ti: 10 * time.Millisecond}
 	late := Transfer{ID: 1, Src: 0, Dst: 2, Chunks: 10, Start: 5 * time.Second}
 	for _, horizon := range []time.Duration{time.Second, 2 * time.Second} {
 		rep, fired := tickRun(t, cfg, horizon, late)
-		if want := int64(horizon / cfg.Ti); fired != want {
-			t.Errorf("horizon %v: %d events fired, want %d ticks", horizon, fired, want)
+		if want := 2 * int64(horizon/cfg.Ti); fired != want {
+			t.Errorf("horizon %v: %d events fired, want %d ticks and samples", horizon, fired, want)
 		}
 		if len(rep.Completions) != 0 {
 			t.Errorf("horizon %v: a transfer starting at 5s completed", horizon)

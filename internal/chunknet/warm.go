@@ -27,8 +27,7 @@ type warmBufs struct {
 	pktqs  [][]*packet // empty, cleared pktq arrays
 	pipes  [][]*packet // empty, cleared pipe arrays
 	rngs   []*rand.Rand
-	arcs   []*arcState  // zeroed but for the callbacks bound to each
-	loops  []*loopState // request-loop states, zeroed when taken
+	arcs   []*arcState // zeroed but for the callbacks bound to each
 }
 
 var warmPool = sync.Pool{New: func() any { return &warmBufs{des: des.New()} }}
@@ -62,15 +61,6 @@ func (w *warmBufs) arc() *arcState {
 		a.bind()
 	}
 	return a
-}
-
-// loop returns a zeroed request-loop state.
-func (w *warmBufs) loop() *loopState {
-	if l := pop(&w.loops); l != nil {
-		*l = loopState{}
-		return l
-	}
-	return &loopState{}
 }
 
 // rand returns a stream seeded with seed.
@@ -118,12 +108,6 @@ func (s *Sim) release() {
 		w.arcs = append(w.arcs, a)
 	}
 	s.arcs = nil
-	for _, f := range s.flows {
-		if f.loop != nil {
-			w.loops = append(w.loops, f.loop)
-			f.loop = nil
-		}
-	}
 	for _, grp := range s.srlgs {
 		if grp.rng != nil {
 			w.rngs = append(w.rngs, grp.rng)

@@ -2,10 +2,14 @@
 // deterministic event queue. Both INRPP simulators run single-threaded on
 // top of it so every run is exactly reproducible.
 //
-// Events fire in (time, seq) order, seq being the scheduling order. seq
-// is unique, so this is a total order: any correct priority queue pops
-// the same sequence, which is what lets the queue's layout change
-// without changing a single output byte.
+// Events fire in (time, seq) order. seq is the scheduling order for
+// events scheduled with At, After or Reserve, and 1<<63 | rank for late
+// events (AtLate). So at one instant every other event fires first, in
+// scheduling order, and then the late events fire, in rank order. No
+// two pending events share a key (ranks are unique at one instant), so
+// this is a total order: any correct priority queue pops the same
+// sequence, which is what lets the queue's layout change without
+// changing a single output byte.
 //
 // The queue is a monotone radix queue on event time. It relies on the
 // kernel never scheduling before its clock: every queued time is at or
@@ -81,7 +85,8 @@ type Simulator struct {
 
 	seq uint64
 	// floor is the smallest key that may still be scheduled: just past
-	// the event being fired, or at the clock after RunUntil advanced it.
+	// the event being fired (past every key reserved so far, for a late
+	// event), or at the clock after RunUntil advanced it.
 	floor Key
 	stop  bool
 
@@ -126,7 +131,7 @@ func (s *Simulator) Reset() {
 
 // Instrument binds the simulator's kernel metrics to reg:
 //
-//   - des_events_scheduled counts At/After calls and reserved keys
+//   - des_events_scheduled counts At/After/AtLate calls and reserved keys
 //     (Reserve counts, the AtKey that later uses the key does not);
 //   - des_events_fired counts callbacks run;
 //   - des_events_pooled counts slots returned to the free list: a fired
@@ -150,17 +155,17 @@ func (s *Simulator) Instrument(reg *obs.Registry) {
 func (s *Simulator) Now() time.Duration { return s.now }
 
 // Key is an event's position in the firing order: its time, then its
-// scheduling sequence number.
+// sequence number (scheduling order, or late | rank).
 type Key struct {
 	at  time.Duration
 	seq uint64
 }
 
-// At is the event time the key fires at.
-func (k Key) At() time.Duration { return k.at }
+// late is the seq bit of a late event's key.
+const late = 1 << 63
 
-// Before reports whether k fires before o.
-func (k Key) Before(o Key) bool {
+// before reports whether k fires before o.
+func (k Key) before(o Key) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
@@ -217,17 +222,22 @@ func (s *Simulator) Reserve(t time.Duration) Key {
 // order before the event being fired (nor before the clock): it panics
 // otherwise, since the event would fire out of order.
 func (s *Simulator) AtKey(k Key, fn func()) Timer {
-	if k.seq >= s.seq || k.Before(s.floor) {
+	if k.seq >= s.seq || k.before(s.floor) {
 		panic("des: AtKey with a key not reserved or already passed")
 	}
 	return s.schedule(k, fn)
 }
 
-// Passed reports whether an event under k would already have fired: k
-// orders before the event being fired (or before the clock after
-// RunUntil). AtKey accepts exactly the reserved keys that have not
-// passed.
-func (s *Simulator) Passed(k Key) bool { return k.Before(s.floor) }
+// AtLate schedules fn at absolute time t (clamped to the present like
+// At) as a late event: it fires after every other event at t, late
+// events at one instant in rank order. rank must be below 1<<63 and
+// unique among the late events pending at t. An event scheduled at the
+// present from inside a late event still fires before the late events
+// left at this instant.
+func (s *Simulator) AtLate(t time.Duration, rank uint64, fn func()) Timer {
+	s.mScheduled.Inc()
+	return s.schedule(Key{at: max(t, s.now), seq: late | rank}, fn)
+}
 
 func (s *Simulator) reserve(t time.Duration) Key {
 	if t < s.now {
@@ -307,7 +317,13 @@ func (s *Simulator) Step() bool {
 		s.queued--
 		s.mHeapDepth.Set(int64(s.queued))
 		s.now = k.at
-		s.floor = Key{at: k.at, seq: k.seq + 1}
+		if k.seq&late != 0 {
+			// A key reserved from here on, at this instant too, may
+			// still be scheduled: it fires before the late events left.
+			s.floor = Key{at: k.at, seq: s.seq}
+		} else {
+			s.floor = Key{at: k.at, seq: k.seq + 1}
+		}
 		s.mFired.Inc()
 		fn()
 		return true
@@ -378,8 +394,9 @@ func (s *Simulator) enqueue(id int32) {
 		s.link(id, bits.Len64(x)-1)
 		return
 	}
-	// A new key goes last; only a key reserved before some ready slot
-	// was scheduled moves ahead of it.
+	// A new key goes last but for late events, which it moves ahead of;
+	// a key reserved before some ready slot was scheduled moves ahead
+	// of that one too.
 	s.ready = append(s.ready, id)
 	r := s.ready
 	j := len(r) - 1

@@ -41,6 +41,47 @@ func TestFIFOAtSameTime(t *testing.T) {
 	}
 }
 
+// TestLateEvents: late events fire after every other event at their
+// instant, in rank order, whatever order they were scheduled in. An
+// At(now), and a Reserve(now) scheduled with AtKey, made inside a late
+// event do not panic and fire before the late events left at now.
+func TestLateEvents(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		nested func(s *Simulator, fn func())
+	}{
+		{"At", func(s *Simulator, fn func()) { s.At(s.Now(), fn) }},
+		{"Reserve+AtKey", func(s *Simulator, fn func()) { s.AtKey(s.Reserve(s.Now()), fn) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			var got []string
+			log := func(name string) func() { return func() { got = append(got, name) } }
+			s.AtLate(time.Second, 2, log("late2"))
+			s.AtLate(time.Second, 0, func() {
+				got = append(got, "late0")
+				c.nested(s, func() {
+					got = append(got, "nested")
+					// A late event at the present from inside the
+					// nested one still goes in rank order.
+					s.AtLate(s.Now(), 1, log("late1"))
+				})
+			})
+			s.At(time.Second, log("first"))
+			s.After(time.Second, func() {
+				got = append(got, "second")
+				s.At(s.Now(), log("third"))
+			})
+			s.AtLate(time.Second, 3, log("late3"))
+			s.Run()
+			want := []string{"first", "second", "third", "late0", "nested", "late1", "late2", "late3"}
+			if !slices.Equal(got, want) {
+				t.Errorf("fired %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestNestedScheduling(t *testing.T) {
 	s := New()
 	var log []time.Duration

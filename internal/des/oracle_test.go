@@ -9,10 +9,10 @@ import (
 
 // The oracle below checks the kernel against its specification rather
 // than against an older implementation. Every event gets the key
-// (max(t, now), n), n counting At/After/Reserve calls; live events must
-// fire in key order, each at its own time, cancelled ones never; Pending
-// is the live count after every step. The reference is a plain list
-// scanned for its minimum.
+// (max(t, now), n), n counting At/After/Reserve calls, and a late event
+// (max(t, now), 1<<63 | rank); live events must fire in key order, each
+// at its own time, cancelled ones never; Pending is the live count after
+// every step. The reference is a plain list scanned for its minimum.
 
 // refEvent is the reference model's view of one scheduled event.
 type refEvent struct {
@@ -67,7 +67,7 @@ func (o *oracle) live() int {
 func (o *oracle) min() *refEvent {
 	var m *refEvent
 	for _, e := range o.events {
-		if e.live && (m == nil || e.key.Before(m.key)) {
+		if e.live && (m == nil || e.key.before(m.key)) {
 			m = e
 		}
 	}
@@ -103,13 +103,27 @@ func (o *oracle) fire(e *refEvent) {
 		o.t.Fatalf("event %v fired at %v", e.key, o.s.Now())
 	}
 	e.live = false
-	o.floor = Key{at: e.key.at, seq: e.key.seq + 1}
+	if e.key.seq&late != 0 {
+		o.floor = Key{at: e.key.at, seq: o.seq}
+	} else {
+		o.floor = Key{at: e.key.at, seq: e.key.seq + 1}
+	}
 	o.fired++
 	switch e.nest % 8 { // 0, what an exhausted stream reads, does nothing
 	case 1:
 		o.at()
 	case 2:
 		o.cancel()
+	case 3:
+		o.late()
+	case 4:
+		// A key reserved at the present and scheduled at once, which
+		// a late event must accept too.
+		k := o.refKey(o.s.Now())
+		if got := o.s.Reserve(o.s.Now()); got != k {
+			o.t.Fatalf("Reserve(now) = %v, want %v", got, k)
+		}
+		o.add(k, func(fn func()) Timer { return o.s.AtKey(k, fn) })
 	}
 	if o.fired == o.stopAt {
 		o.s.Stop()
@@ -119,6 +133,20 @@ func (o *oracle) fire(e *refEvent) {
 func (o *oracle) at() {
 	t := o.s.Now() + o.dt() - 4*time.Millisecond // sometimes in the past
 	o.add(o.refKey(t), func(fn func()) Timer { return o.s.At(t, fn) })
+}
+
+// late schedules a late event of a small rank, sometimes in the past. A
+// rank already pending at that instant is skipped: ranks must be unique.
+func (o *oracle) late() {
+	t := o.s.Now() + o.dt() - 4*time.Millisecond
+	rank := uint64(o.next() % 8)
+	k := Key{at: max(t, o.s.Now()), seq: late | rank}
+	for _, e := range o.events {
+		if e.live && e.key == k {
+			return
+		}
+	}
+	o.add(k, func(fn func()) Timer { return o.s.AtLate(t, rank, fn) })
 }
 
 // cancel cancels one of the 64 most recently issued timers, live, fired
@@ -156,7 +184,7 @@ func (o *oracle) atKey() {
 	}
 	k := o.reserved[0]
 	o.reserved = o.reserved[1:]
-	if k.Before(o.floor) {
+	if k.before(o.floor) {
 		defer func() {
 			if recover() == nil {
 				o.t.Fatalf("AtKey(%v) with floor %v did not panic", k, o.floor)
@@ -182,7 +210,7 @@ func (o *oracle) runUntil(t time.Duration) {
 }
 
 func (o *oracle) step() {
-	switch o.next() % 12 {
+	switch o.next() % 13 {
 	case 0, 1, 9:
 		o.at()
 	case 2, 10:
@@ -204,6 +232,8 @@ func (o *oracle) step() {
 		o.atKey()
 	case 7:
 		o.runUntil(o.s.Now() + o.dt()/16)
+	case 12:
+		o.late()
 	case 8:
 		o.stopAt = o.fired + 1 + int(o.next()%4)
 		o.s.Run()
